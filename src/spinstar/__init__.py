@@ -11,17 +11,13 @@ from .channels import (
     KrausChannel,
     RandomUnitaryChannel,
     RucSample,
-    ZeroDiscordFamily,
     apply_channel,
     apply_random_unitary,
     choi_matrix,
-    completeness_residual,
     discord_zero_check,
     extract_kraus,
     random_phase_channel,
-    ruc_dilation,
     ruc_trajectory,
-    zero_discord_family,
 )
 from .entanglement import (
     EnsembleMember,
@@ -36,12 +32,10 @@ from .entanglement import (
 )
 from .linalg import (
     dagger,
-    expm_hermitian,
     haar_unitary,
     herm_eig,
     identity,
     max_abs,
-    psd_sqrt,
     tensor,
 )
 from .markov import (
@@ -49,7 +43,7 @@ from .markov import (
     MarkovBlockSpec,
     MarkovDecision,
     ReductionReport,
-    WitnessReport,
+    WitnessResult,
     concurrence_after_env_unitary,
     is_markov,
     make_markov_state,
@@ -61,8 +55,8 @@ from .model import (
     BruteForceEvolver,
     ClosedFormCoeffs,
     SpinStarParams,
+    ZeroDiscordFamily,
     branch_vectors,
-    brute_force_reduced_state,
     build_full_hamiltonian,
     build_initial_state,
     build_w_state,
@@ -72,6 +66,7 @@ from .model import (
     dicke_vector,
     evolve_sector,
     sector_unitary,
+    zero_discord_family,
 )
 from .states import (
     DensityMatrix,
@@ -88,8 +83,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # linalg
-    "tensor", "dagger", "identity", "max_abs", "herm_eig", "expm_hermitian",
-    "psd_sqrt", "haar_unitary",
+    "tensor", "dagger", "identity", "max_abs", "herm_eig", "haar_unitary",
     # states
     "DimsSpec", "DensityMatrix", "PureState", "partial_trace",
     "von_neumann_entropy", "mutual_information", "conditional_mutual_information",
@@ -99,17 +93,16 @@ __all__ = [
     "concurrence_a_be", "inaccessible_concurrence", "hidden_entanglement",
     # model
     "LARGE_N", "SpinStarParams", "ClosedFormCoeffs", "branch_vectors",
-    "build_initial_state", "build_w_state", "closed_form_coeffs",
-    "closed_form_terms", "concurrence_closed_form", "sector_unitary",
-    "evolve_sector", "build_full_hamiltonian", "dicke_vector",
-    "BruteForceEvolver", "brute_force_reduced_state",
+    "ZeroDiscordFamily", "zero_discord_family", "build_initial_state",
+    "build_w_state", "closed_form_coeffs", "closed_form_terms",
+    "concurrence_closed_form", "sector_unitary", "evolve_sector",
+    "build_full_hamiltonian", "dicke_vector", "BruteForceEvolver",
     # channels
-    "ZeroDiscordFamily", "zero_discord_family", "KrausChannel", "extract_kraus",
-    "apply_channel", "completeness_residual", "choi_matrix", "discord_zero_check",
-    "RandomUnitaryChannel", "apply_random_unitary", "ruc_dilation",
+    "KrausChannel", "extract_kraus", "apply_channel", "choi_matrix",
+    "discord_zero_check", "RandomUnitaryChannel", "apply_random_unitary",
     "ruc_trajectory", "RucSample", "random_phase_channel",
     # markov
-    "MarkovBlock", "MarkovBlockSpec", "MarkovDecision", "WitnessReport",
+    "MarkovBlock", "MarkovBlockSpec", "MarkovDecision", "WitnessResult",
     "ReductionReport", "make_markov_state", "is_markov",
     "markov_necessary_witnesses", "concurrence_after_env_unitary",
     "verify_localized_reduction",

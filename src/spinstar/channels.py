@@ -15,16 +15,20 @@ stays frozen.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import EnsembleMember, concurrence_2q, hidden_entanglement
-from .linalg import dagger, identity, max_abs
-from .model import SpinStarParams, branch_vectors, flagged_mixture, sector_unitary
-from .states import DensityMatrix, DimsSpec
+from .entanglement import (
+    EnsembleMember,
+    concurrence_2q,
+    ensemble_concurrence,
+    hidden_entanglement,
+)
+from .linalg import check_orthonormal, dagger, identity, max_abs
+from .model import SpinStarParams, ZeroDiscordFamily, sector_unitary, zero_discord_family
+from .states import DensityMatrix, check_probabilities, conjugate_local
 
 __all__ = [
     "ZeroDiscordFamily",
@@ -32,12 +36,10 @@ __all__ = [
     "KrausChannel",
     "extract_kraus",
     "apply_channel",
-    "completeness_residual",
     "choi_matrix",
     "discord_zero_check",
     "RandomUnitaryChannel",
     "apply_random_unitary",
-    "ruc_dilation",
     "ruc_trajectory",
     "RucSample",
     "random_phase_channel",
@@ -46,104 +48,13 @@ __all__ = [
 #: Kraus completeness must hold within this tolerance
 COMPLETENESS_TOL = 1e-9
 
-ORTHONORMALITY_TOL = 1e-12
-
-
-def _orthonormal(vectors: Sequence[np.ndarray], what: str) -> None:
-    stack = np.array(vectors)
-    gram = stack @ dagger(stack)
-    if max_abs(gram - identity(len(vectors))) > ORTHONORMALITY_TOL:
-        raise ValueError(f"{what} are not orthonormal within {ORTHONORMALITY_TOL:.1e}")
-
-
-class ZeroDiscordFamily:
-    """Orthogonal pair states tagged by orthogonal bath flags, with weights.
-
-    Any mixture sum_i p_i |psi_i><psi_i| x |mu_i><mu_i| drawn from the family
-    is block diagonal in the flag basis and therefore discord-free across the
-    pair-bath split, whatever the probabilities.
-    """
-
-    __slots__ = ("probabilities", "system_states", "env_flags")
-
-    def __init__(
-        self,
-        probabilities: Sequence[float],
-        system_states: Sequence[np.ndarray],
-        env_flags: Sequence[np.ndarray],
-    ):
-        if not (len(probabilities) == len(system_states) == len(env_flags)):
-            raise ValueError("probabilities, states, and flags must have equal length")
-        probs = tuple(float(p) for p in probabilities)
-        if any(p < 0.0 for p in probs):
-            raise ValueError(f"probabilities must be non-negative, got {probs}")
-        total = math.fsum(probs)
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {total:.12g}, not 1")
-        states = tuple(np.array(s, dtype=complex).reshape(-1) for s in system_states)
-        flags = tuple(np.array(f, dtype=complex).reshape(-1) for f in env_flags)
-        if any(s.size != states[0].size for s in states):
-            raise ValueError("system states must share one dimension")
-        if any(f.size != flags[0].size for f in flags):
-            raise ValueError("environment flags must share one dimension")
-        _orthonormal(states, "system states")
-        _orthonormal(flags, "environment flags")
-        for arr in states + flags:
-            arr.setflags(write=False)
-        self.probabilities = probs
-        self.system_states = states
-        self.env_flags = flags
-
-    def __len__(self) -> int:
-        return len(self.probabilities)
-
-    @property
-    def flag_dim(self) -> int:
-        return self.env_flags[0].size
-
-    def mixture(self, levels: int | None = None) -> DensityMatrix:
-        """The family's mixed state on (A, B, E), flags zero-padded to `levels`."""
-        levels = self.flag_dim if levels is None else int(levels)
-        if levels < self.flag_dim:
-            raise ValueError(f"cannot truncate flags from {self.flag_dim} to {levels} levels")
-        flags = []
-        for f in self.env_flags:
-            padded = np.zeros(levels, dtype=complex)
-            padded[: f.size] = f
-            flags.append(padded)
-        mat = flagged_mixture(zip(self.probabilities, self.system_states, flags))
-        return DensityMatrix(mat, DimsSpec(("A", 2), ("B", 2), ("E", levels)))
-
-
-def zero_discord_family(
-    params: SpinStarParams, probabilities: Sequence[float] | None = None
-) -> ZeroDiscordFamily:
-    """The four-member family generated by the model's branch structure.
-
-    Members one and two are the flagged branches themselves; members three
-    and four complete the pair basis with their orthogonal partners, tagged
-    by the next two bath levels.  Default weights (p, 1-p, 0, 0) reproduce
-    the model's initial state exactly.
-    """
-    sin_a, cos_a = math.sin(params.alpha), math.cos(params.alpha)
-    sin_b, cos_b = math.sin(params.beta), math.cos(params.beta)
-    psi1, psi2 = branch_vectors(params.alpha, params.beta)
-    psi3 = np.array([0.0, -cos_a, sin_a, 0.0], dtype=complex)
-    psi4 = np.array([-cos_b, 0.0, 0.0, sin_b], dtype=complex)
-    flags = identity(4)
-    if probabilities is None:
-        probabilities = (params.p, 1.0 - params.p, 0.0, 0.0)
-    return ZeroDiscordFamily(
-        probabilities,
-        (psi1, psi2, psi3, psi4),
-        (flags[1], flags[0], flags[2], flags[3]),
-    )
-
-
 class KrausChannel:
-    """Operator-sum map with a verified completeness relation."""
+    """Operator-sum map with a verified completeness relation.
 
-    __slots__ = ("operators",)
+    `residual` is the max-entry deviation of sum_k K^dagger K from the identity.
+    """
+
+    __slots__ = ("operators", "residual")
 
     def __init__(self, operators: Sequence[np.ndarray], *, tol: float = COMPLETENESS_TOL):
         ops = tuple(np.array(k, dtype=complex) for k in operators)
@@ -163,6 +74,7 @@ class KrausChannel:
         for k in ops:
             k.setflags(write=False)
         self.operators = ops
+        self.residual = residual
 
     @property
     def dim(self) -> int:
@@ -209,12 +121,6 @@ def apply_channel(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(out, rho.dims, trace_tol=1e-9, eig_floor=1e-8)
 
 
-def completeness_residual(channel: KrausChannel) -> float:
-    """Max-entry deviation of sum_k K^dagger K from the identity."""
-    total = sum(dagger(k) @ k for k in channel.operators)
-    return max_abs(total - identity(channel.dim))
-
-
 def choi_matrix(channel: KrausChannel) -> np.ndarray:
     """Choi matrix sum_k vec(K) vec(K)^dagger with column-stacking vec.
 
@@ -242,7 +148,7 @@ def discord_zero_check(rho: DensityMatrix, flags: Sequence[np.ndarray]) -> float
     flag_vecs = tuple(np.asarray(f, dtype=complex).reshape(-1) for f in flags)
     if len(flag_vecs) != env_dim or any(f.size != env_dim for f in flag_vecs):
         raise ValueError(f"need {env_dim} flag vectors of dimension {env_dim}")
-    _orthonormal(flag_vecs, "bath flags")
+    check_orthonormal(flag_vecs, "bath flags")
     sys_dim = rho.dim // env_dim
     dephased = np.zeros_like(rho.mat)
     for f in flag_vecs:
@@ -257,14 +163,7 @@ class RandomUnitaryChannel:
     __slots__ = ("probabilities", "unitaries")
 
     def __init__(self, branches: Sequence[tuple[float, np.ndarray]]):
-        if not branches:
-            raise ValueError("at least one unitary branch is required")
-        probs = tuple(float(p) for p, _ in branches)
-        if any(p < 0.0 for p in probs):
-            raise ValueError(f"branch probabilities must be non-negative, got {probs}")
-        total = math.fsum(probs)
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"branch probabilities sum to {total:.12g}, not 1")
+        probs = check_probabilities((p for p, _ in branches), "unitary branch")
         unitaries = tuple(np.array(u, dtype=complex) for _, u in branches)
         for u in unitaries:
             if u.shape != (2, 2):
@@ -285,32 +184,8 @@ def apply_random_unitary(channel: RandomUnitaryChannel, rho: DensityMatrix) -> D
         raise ValueError(f"need a two-qubit state, got {rho.dims!r}")
     out = np.zeros_like(rho.mat)
     for p, u in zip(channel.probabilities, channel.unitaries):
-        full = np.kron(identity(2), u)
-        out = out + p * (full @ rho.mat @ dagger(full))
+        out = out + p * conjugate_local(rho, u).mat
     return DensityMatrix(out, rho.dims)
-
-
-def ruc_dilation(
-    channel: RandomUnitaryChannel | Callable[[float], RandomUnitaryChannel],
-    t: float = 0.0,
-) -> tuple[DensityMatrix, np.ndarray]:
-    """Environment dial and joint unitary realizing a random-unitary channel.
-
-    The environment starts in the diagonal mixture of dial positions and the
-    joint unitary applies branch j's unitary when the dial reads j, so
-    tracing the dial after joint evolution reproduces the channel while the
-    dial's own state never changes.  A callable channel is evaluated at t.
-    """
-    if callable(channel) and not isinstance(channel, RandomUnitaryChannel):
-        channel = channel(t)
-    m = len(channel)
-    env = DensityMatrix(np.diag(np.array(channel.probabilities, dtype=complex)), DimsSpec(("E", m)))
-    joint = np.zeros((4 * m, 4 * m), dtype=complex)
-    for j, u in enumerate(channel.unitaries):
-        dial = np.zeros((m, m), dtype=complex)
-        dial[j, j] = 1.0
-        joint += np.kron(np.kron(identity(2), u), dial)
-    return env, joint
 
 
 @dataclass(frozen=True)
@@ -339,18 +214,18 @@ def ruc_trajectory(
     if len(rho0.dims) != 2 or rho0.dims.dims != (2, 2):
         raise ValueError(f"need a two-qubit initial state, got {rho0.dims!r}")
     c0 = concurrence_2q(rho0)
+    cut = tuple((lab,) for lab in rho0.dims.labels)
     samples = []
     for t in t_grid:
         channel = builder(t)
         members = []
         mixture = np.zeros_like(rho0.mat)
         for p, u in zip(channel.probabilities, channel.unitaries):
-            full = np.kron(identity(2), u)
-            branch = DensityMatrix(full @ rho0.mat @ dagger(full), rho0.dims)
+            branch = conjugate_local(rho0, u)
             members.append(EnsembleMember(p, branch))
             mixture = mixture + p * branch.mat
         mixed = DensityMatrix(mixture, rho0.dims)
-        c_ens = math.fsum(m.weight * concurrence_2q(m.state) for m in members)
+        c_ens = ensemble_concurrence(members, cut)
         if abs(c_ens - c0) > 1e-9:
             raise ArithmeticError(
                 f"ensemble concurrence drifted to {c_ens:.12g} from {c0:.12g} at t={t!r}"

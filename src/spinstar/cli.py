@@ -15,7 +15,6 @@ import numpy as np
 from .channels import (
     apply_channel,
     choi_matrix,
-    completeness_residual,
     extract_kraus,
     random_phase_channel,
     ruc_trajectory,
@@ -42,24 +41,35 @@ EXIT_CHECK = 3
 #: closed-form and numeric trajectories must agree this tightly in sweeps
 SWEEP_CONSISTENCY_TOL = 1e-6
 
+#: largest accepted --steps; `hidden` keeps about 1.7 kB of states per grid
+#: point, so it peaks near 230 MB resident at this ceiling
+MAX_STEPS = 100_000
+
 SWEEP_HEADER = "omega_t,c_closed,c_numeric,mi,c_abe,c_inaccessible"
 HIDDEN_HEADER = "omega_t,c_mixture,c_ensemble_avg,c_hidden"
 
 _LOG_BASES = {"2": 2.0, "e": math.e, "10": 10.0}
 
 
+def finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--p", type=float, default=0.5, help="mixing probability of branch one")
-    parser.add_argument("--alpha", type=float, default=math.pi / 4, help="branch-one angle")
-    parser.add_argument("--beta", type=float, default=math.pi / 4, help="branch-two angle")
+    parser.add_argument("--p", type=finite_float, default=0.5, help="mixing probability of branch one")
+    parser.add_argument("--alpha", type=finite_float, default=math.pi / 4, help="branch-one angle")
+    parser.add_argument("--beta", type=finite_float, default=math.pi / 4, help="branch-two angle")
     parser.add_argument("--env-spins", type=int, default=None, metavar="N", help="finite bath size")
     parser.add_argument("--large-n", action="store_true", help="infinite-bath frequency ladder")
-    parser.add_argument("--coupling", type=float, default=1.0, help="per-spin coupling g")
+    parser.add_argument("--coupling", type=finite_float, default=1.0, help="per-spin coupling g")
 
 
 def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--t-max", type=float, default=4.0 * math.pi, help="last grid point in omega*t"
+        "--t-max", type=finite_float, default=4.0 * math.pi, help="last grid point in omega*t"
     )
     parser.add_argument("--steps", type=int, default=2000, help="number of grid points")
 
@@ -80,13 +90,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="take the numeric column from full-space evolution (finite bath only)",
     )
-    sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--output", metavar="PATH", default=None)
     sweep.add_argument("--svg", metavar="PATH", default=None, help="write a static plot")
 
     kraus = sub.add_parser("kraus-check", help="operator-sum extraction consistency report")
     _add_model_flags(kraus)
-    kraus.add_argument("--t", type=float, default=None, help="single check time in omega*t")
+    kraus.add_argument("--t", type=finite_float, default=None, help="single check time in omega*t")
     kraus.add_argument("--seed", type=int, default=0)
 
     markov = sub.add_parser("markov-check", help="Markov structure report for a scenario")
@@ -116,6 +125,8 @@ def _params_from(args: argparse.Namespace) -> SpinStarParams:
 def _grid_from(args: argparse.Namespace) -> np.ndarray:
     if args.steps < 2:
         raise ValueError(f"--steps must be at least 2, got {args.steps}")
+    if args.steps > MAX_STEPS:
+        raise ValueError(f"--steps must be at most {MAX_STEPS}, got {args.steps}")
     if not args.t_max > 0.0:
         raise ValueError(f"--t-max must be positive, got {args.t_max}")
     return np.linspace(0.0, args.t_max, args.steps)
@@ -196,6 +207,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         grid = _grid_from(args)
         if args.oracle and params.is_large_n:
             raise ValueError("--oracle needs a finite bath; pass --env-spins N")
+        evolver = BruteForceEvolver(params) if args.oracle else None
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -203,7 +215,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     coeffs = closed_form_coeffs(params)
     rho0 = build_initial_state(params)
     c_abe = concurrence_a_be(params)
-    evolver = BruteForceEvolver(params) if args.oracle else None
     pair_labels = rho0.dims.labels[:2]
     rows = [SWEEP_HEADER]
     c_numeric_series, mi_series = [], []
@@ -248,6 +259,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_kraus_check(args: argparse.Namespace) -> int:
     try:
         params = _params_from(args)
+        if args.t is not None and args.t < 0.0:
+            raise ValueError(f"--t must be non-negative, got {args.t}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -266,7 +279,7 @@ def _cmd_kraus_check(args: argparse.Namespace) -> int:
     for omega_t in omega_times:
         t = omega_t / params.omega
         channel = extract_kraus(family, params, t)
-        worst_residual = max(worst_residual, completeness_residual(channel))
+        worst_residual = max(worst_residual, channel.residual)
         choi_min = float(np.linalg.eigvalsh(choi_matrix(channel))[0])
         worst_choi = min(worst_choi, choi_min)
         via_channel = apply_channel(channel, rho0)
@@ -312,12 +325,11 @@ def _cmd_markov_check(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     decision = is_markov(rho)
-    report = markov_necessary_witnesses(rho)
+    witness = markov_necessary_witnesses(rho)
     print(f"scenario: {args.scenario}")
     print(f"conditional mutual information: {decision.cmi:.6e}  [tol {decision.tol:.1e}]")
-    for result in report.results:
-        verdict = "NPT (certifies non-markov)" if result.npt else "PPT (inconclusive)"
-        print(f"witness {result.cut}: min eigenvalue {result.min_eigenvalue:.6e}  {verdict}")
+    verdict = "NPT (certifies non-markov)" if witness.npt else "PPT (inconclusive)"
+    print(f"witness {witness.cut}: min eigenvalue {witness.min_eigenvalue:.6e}  {verdict}")
     print(f"verdict: {'markov' if decision.markov else 'non-markov'}")
     print(f"expected: {'markov' if expect_markov else 'non-markov'}")
     ok = decision.markov == expect_markov

@@ -10,14 +10,14 @@ through a negative eigenvalue.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
 from .linalg import SIGMA_Y, dagger, herm_eig, max_abs, tensor
-from .states import DensityMatrix, PureState
+from .states import Cut, DensityMatrix, PureState, check_probabilities, split_cut
 
 if TYPE_CHECKING:
     from .model import SpinStarParams
@@ -34,13 +34,9 @@ __all__ = [
     "hidden_entanglement",
 ]
 
-#: ensemble weights must sum to one within this tolerance
-WEIGHT_TOL = 1e-12
-
 #: density-matrix eigenvalues at or below this are treated as unpopulated
 RANK_TOL = 1e-12
 
-Cut = tuple[Iterable[str], Iterable[str]]
 State = Union[PureState, DensityMatrix]
 
 
@@ -52,26 +48,13 @@ class EnsembleMember:
     state: State
 
 
-def _cut_groups(dims, cut: Cut) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    x_group = tuple(cut[0])
-    y_group = tuple(cut[1])
-    if not x_group or not y_group:
-        raise ValueError("both sides of the cut must be non-empty")
-    seen = x_group + y_group
-    if len(set(seen)) != len(seen):
-        raise ValueError(f"cut groups overlap or repeat labels: {cut!r}")
-    if set(seen) != set(dims.labels):
-        raise ValueError(f"cut {cut!r} does not partition factors {list(dims.labels)}")
-    return x_group, y_group
-
-
 def concurrence_pure(psi: PureState, cut: Cut) -> float:
     """Concurrence sqrt(2 (1 - Tr r^2)) of a pure state across a bipartition.
 
     r is the reduced state of the first cut group.  Product states give 0 and
     maximally entangled states give sqrt(2 (1 - 1/d)) for the smaller side d.
     """
-    x_group, _ = _cut_groups(psi.dims, cut)
+    x_group, _ = split_cut(psi.dims, cut)
     positions = [psi.dims.position(lab) for lab in x_group]
     rest = [i for i in range(len(psi.dims)) if i not in positions]
     tensor_form = psi.vec.reshape(psi.dims.dims)
@@ -128,7 +111,7 @@ def ppt_min_eigenvalue(rho: DensityMatrix, cut: Cut) -> float:
     A value below -1e-9 witnesses entanglement across the cut; separable
     states stay positive semidefinite up to rounding.
     """
-    _, y_group = _cut_groups(rho.dims, cut)
+    _, y_group = split_cut(rho.dims, cut)
     n = len(rho.dims)
     tensor_form = rho.mat.reshape(rho.dims.dims + rho.dims.dims)
     axes = list(range(2 * n))
@@ -144,27 +127,16 @@ def _member_concurrence(state: State, cut: Cut) -> float:
     if isinstance(state, PureState):
         return concurrence_pure(state, cut)
     if isinstance(state, DensityMatrix):
-        x_group, y_group = _cut_groups(state.dims, cut)
+        x_group, y_group = split_cut(state.dims, cut)
         if len(x_group) != 1 or len(y_group) != 1:
             raise ValueError("mixed ensemble members support only single-qubit cut groups")
         return concurrence_2q(state, (x_group[0], y_group[0]))
     raise ValueError(f"unsupported ensemble member state {type(state).__name__}")
 
 
-def _check_weights(members: Sequence[EnsembleMember]) -> None:
-    if not members:
-        raise ValueError("ensemble must have at least one member")
-    for m in members:
-        if not 0.0 <= m.weight <= 1.0:
-            raise ValueError(f"ensemble weight {m.weight!r} outside [0, 1]")
-    total = math.fsum(m.weight for m in members)
-    if abs(total - 1.0) > WEIGHT_TOL:
-        raise ValueError(f"ensemble weights sum to {total:.12g}, not 1")
-
-
 def ensemble_concurrence(members: Sequence[EnsembleMember], cut: Cut) -> float:
     """Probability-weighted average concurrence of an ensemble across a cut."""
-    _check_weights(members)
+    check_probabilities((m.weight for m in members), "ensemble member")
     return math.fsum(m.weight * _member_concurrence(m.state, cut) for m in members)
 
 
@@ -204,7 +176,7 @@ def hidden_entanglement(
     the max-entry norm.  Convexity of the concurrence keeps the result
     non-negative up to rounding.
     """
-    _check_weights(members)
+    check_probabilities((m.weight for m in members), "ensemble member")
     if len(rho_mix.dims) != 2 or rho_mix.dims.dims != (2, 2):
         raise ValueError(f"mixture must be a two-qubit state, got {rho_mix.dims!r}")
     if cut is None:

@@ -6,6 +6,8 @@ Inputs are treated as immutable and results are always fresh arrays.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 __all__ = [
@@ -19,15 +21,16 @@ __all__ = [
     "dagger",
     "tensor",
     "max_abs",
-    "is_hermitian",
+    "check_orthonormal",
     "herm_eig",
-    "expm_hermitian",
-    "psd_sqrt",
     "haar_unitary",
 ]
 
 #: default tolerance for Hermiticity checks
 HERM_TOL = 1e-10
+
+#: largest tolerated entry of the Gram matrix minus the identity
+ORTHONORMALITY_TOL = 1e-12
 
 
 def _readonly(m: np.ndarray) -> np.ndarray:
@@ -71,11 +74,12 @@ def max_abs(m: np.ndarray) -> float:
     return float(np.max(np.abs(m)))
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    return max_abs(m - dagger(m)) <= tol
+def check_orthonormal(vectors: Sequence[np.ndarray], what: str) -> None:
+    """Reject a family of vectors whose Gram matrix is not the identity."""
+    stack = np.array(vectors)
+    gram = stack @ dagger(stack)
+    if max_abs(gram - identity(len(vectors))) > ORTHONORMALITY_TOL:
+        raise ValueError(f"{what} are not orthonormal within {ORTHONORMALITY_TOL:.1e}")
 
 
 def _check_square(m: np.ndarray, what: str) -> np.ndarray:
@@ -104,29 +108,6 @@ def herm_eig(m: np.ndarray, tol: float = HERM_TOL) -> tuple[np.ndarray, np.ndarr
     sym = (m + dagger(m)) / 2.0
     vals, vecs = np.linalg.eigh(sym)
     return vals, vecs
-
-
-def expm_hermitian(h: np.ndarray, t: float, tol: float = HERM_TOL) -> np.ndarray:
-    """Unitary evolution operator exp(-i*h*t) for a Hermitian generator h."""
-    vals, vecs = herm_eig(h, tol)
-    phases = np.exp(-1j * vals * t)
-    return (vecs * phases) @ dagger(vecs)
-
-
-def psd_sqrt(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Hermitian square root of a positive semidefinite matrix.
-
-    Eigenvalues in [-tol, 0) are clamped to zero; anything more negative is
-    rejected as non-PSD.
-    """
-    vals, vecs = herm_eig(m)
-    low = float(vals[0])
-    if low < -tol:
-        raise ValueError(
-            f"matrix is not positive semidefinite: min eigenvalue {low:.3e} below -{tol:.1e}"
-        )
-    roots = np.sqrt(np.clip(vals, 0.0, None))
-    return (vecs * roots) @ dagger(vecs)
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -19,11 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import concurrence_2q, ppt_min_eigenvalue
-from .linalg import dagger, haar_unitary, identity, max_abs
+from .linalg import haar_unitary
 from .states import (
     DensityMatrix,
     DimsSpec,
+    check_probabilities,
     conditional_mutual_information,
+    conjugate_local,
     partial_trace,
 )
 
@@ -32,7 +34,6 @@ __all__ = [
     "MarkovBlockSpec",
     "MarkovDecision",
     "WitnessResult",
-    "WitnessReport",
     "ReductionReport",
     "make_markov_state",
     "is_markov",
@@ -85,13 +86,7 @@ class MarkovBlockSpec:
         if dim_a < 2 or dim_e < 1:
             raise ValueError(f"need dim_a >= 2 and dim_e >= 1, got {dim_a}, {dim_e}")
         blocks = tuple(blocks)
-        if not blocks:
-            raise ValueError("at least one block is required")
-        total = float(np.sum([b.weight for b in blocks]))
-        if any(b.weight < 0.0 for b in blocks):
-            raise ValueError("block weights must be non-negative")
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"block weights sum to {total:.12g}, not 1")
+        check_probabilities((b.weight for b in blocks), "block")
         for b in blocks:
             if b.dim_left < 1 or b.dim_right < 1:
                 raise ValueError("block factor dimensions must be positive")
@@ -139,23 +134,14 @@ def is_markov(rho: DensityMatrix, tol: float = CMI_TOL) -> MarkovDecision:
 
 @dataclass(frozen=True)
 class WitnessResult:
+    """Partial-transpose result on the cut a Markov state must keep separable."""
+
     cut: str
     min_eigenvalue: float
     npt: bool
 
 
-@dataclass(frozen=True)
-class WitnessReport:
-    """Partial-transpose results on the cuts a Markov state must keep separable."""
-
-    results: tuple[WitnessResult, ...]
-
-    @property
-    def non_markov_certified(self) -> bool:
-        return any(r.npt for r in self.results)
-
-
-def markov_necessary_witnesses(rho: DensityMatrix) -> WitnessReport:
+def markov_necessary_witnesses(rho: DensityMatrix) -> WitnessResult:
     """Necessary separability conditions for block-structured states.
 
     Three factors (A, B, E): tracing B must leave (A, E) separable.  Four
@@ -176,7 +162,7 @@ def markov_necessary_witnesses(rho: DensityMatrix) -> WitnessReport:
         cut = f"{env_a};{env_b} after tracing {outer_a}, {outer_b}"
     else:
         raise ValueError(f"need three or four factors, got {list(labels)}")
-    return WitnessReport((WitnessResult(cut, val, val < -NPT_TOL),))
+    return WitnessResult(cut, val, val < -NPT_TOL)
 
 
 def concurrence_after_env_unitary(rho: DensityMatrix, u_be: np.ndarray) -> float:
@@ -187,8 +173,7 @@ def concurrence_after_env_unitary(rho: DensityMatrix, u_be: np.ndarray) -> float
     expected = rho.dim // 2
     if u_be.shape != (expected, expected):
         raise ValueError(f"unitary must be {expected}x{expected}, got {u_be.shape}")
-    full = np.kron(identity(2), u_be)
-    evolved = DensityMatrix(full @ rho.mat @ dagger(full), rho.dims)
+    evolved = conjugate_local(rho, u_be)
     labels = rho.dims.labels
     return concurrence_2q(partial_trace(evolved, labels[:2]))
 

@@ -25,7 +25,7 @@ evolution by `BruteForceEvolver`.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -34,20 +34,21 @@ import numpy as np
 from .linalg import (
     SIGMA_MINUS,
     SIGMA_PLUS,
+    check_orthonormal,
     dagger,
     herm_eig,
     identity,
-    max_abs,
     tensor,
 )
-from .states import DensityMatrix, DimsSpec, PureState
+from .states import DensityMatrix, DimsSpec, PureState, check_probabilities, conjugate_local
 
 __all__ = [
     "LARGE_N",
     "SpinStarParams",
     "ClosedFormCoeffs",
     "branch_vectors",
-    "flagged_mixture",
+    "ZeroDiscordFamily",
+    "zero_discord_family",
     "build_initial_state",
     "build_w_state",
     "closed_form_coeffs",
@@ -58,7 +59,6 @@ __all__ = [
     "build_full_hamiltonian",
     "dicke_vector",
     "BruteForceEvolver",
-    "brute_force_reduced_state",
 ]
 
 #: sentinel bath size requesting the infinite-bath frequency ladder
@@ -67,8 +67,9 @@ LARGE_N = math.inf
 #: number of symmetric bath levels carried by the effective environment
 ENV_LEVELS = 4
 
-#: dimensions supported by the dense full-space oracle
-MAX_BATH_SPINS = 12
+#: largest bath of the dense full-space oracle; its 2^(N+1) matrices grow x4
+#: per spin, and N = 11 already peaks at about 1.6 GB resident
+MAX_BATH_SPINS = 11
 
 #: default dims for states on (isolated qubit, coupled qubit, effective bath)
 PAIR_ENV_DIMS = DimsSpec(("A", 2), ("B", 2), ("E", ENV_LEVELS))
@@ -170,30 +171,88 @@ def branch_vectors(alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
     return psi1, psi2
 
 
-def flagged_mixture(
-    members: Iterable[tuple[float, np.ndarray, np.ndarray]],
-) -> np.ndarray:
-    """Density matrix sum_i w_i |psi_i><psi_i| x |mu_i><mu_i| as a raw array."""
-    acc = None
-    for weight, psi, flag in members:
-        psi = np.asarray(psi, dtype=complex)
-        flag = np.asarray(flag, dtype=complex)
-        term = weight * np.kron(np.outer(psi, psi.conj()), np.outer(flag, flag.conj()))
-        acc = term if acc is None else acc + term
-    if acc is None:
-        raise ValueError("at least one flagged member is required")
-    return acc
+class ZeroDiscordFamily:
+    """Orthogonal pair states tagged by orthogonal bath flags, with weights.
+
+    Any mixture sum_i p_i |psi_i><psi_i| x |mu_i><mu_i| drawn from the family
+    is block diagonal in the flag basis and therefore discord-free across the
+    pair-bath split, whatever the probabilities.
+    """
+
+    __slots__ = ("probabilities", "system_states", "env_flags")
+
+    def __init__(
+        self,
+        probabilities: Sequence[float],
+        system_states: Sequence[np.ndarray],
+        env_flags: Sequence[np.ndarray],
+    ):
+        if not (len(probabilities) == len(system_states) == len(env_flags)):
+            raise ValueError("probabilities, states, and flags must have equal length")
+        probs = check_probabilities(probabilities, "member")
+        states = tuple(np.array(s, dtype=complex).reshape(-1) for s in system_states)
+        flags = tuple(np.array(f, dtype=complex).reshape(-1) for f in env_flags)
+        if any(s.size != states[0].size for s in states):
+            raise ValueError("system states must share one dimension")
+        if any(f.size != flags[0].size for f in flags):
+            raise ValueError("environment flags must share one dimension")
+        check_orthonormal(states, "system states")
+        check_orthonormal(flags, "environment flags")
+        for arr in states + flags:
+            arr.setflags(write=False)
+        self.probabilities = probs
+        self.system_states = states
+        self.env_flags = flags
+
+    def __len__(self) -> int:
+        return len(self.probabilities)
+
+    @property
+    def flag_dim(self) -> int:
+        return self.env_flags[0].size
+
+    def mixture(self, levels: int | None = None) -> DensityMatrix:
+        """The family's mixed state on (A, B, E), flags zero-padded to `levels`."""
+        levels = self.flag_dim if levels is None else int(levels)
+        if levels < self.flag_dim:
+            raise ValueError(f"cannot truncate flags from {self.flag_dim} to {levels} levels")
+        mat = None
+        for weight, psi, flag in zip(self.probabilities, self.system_states, self.env_flags):
+            padded = np.zeros(levels, dtype=complex)
+            padded[: flag.size] = flag
+            term = weight * np.kron(np.outer(psi, psi.conj()), np.outer(padded, padded.conj()))
+            mat = term if mat is None else mat + term
+        return DensityMatrix(mat, DimsSpec(("A", 2), ("B", 2), ("E", levels)))
+
+
+def zero_discord_family(
+    params: SpinStarParams, probabilities: Sequence[float] | None = None
+) -> ZeroDiscordFamily:
+    """The four-member family generated by the model's branch structure.
+
+    Members one and two are the flagged branches themselves; members three
+    and four complete the pair basis with their orthogonal partners, tagged
+    by the next two bath levels.  Default weights (p, 1-p, 0, 0) reproduce
+    the model's initial state exactly.
+    """
+    sin_a, cos_a = math.sin(params.alpha), math.cos(params.alpha)
+    sin_b, cos_b = math.sin(params.beta), math.cos(params.beta)
+    psi1, psi2 = branch_vectors(params.alpha, params.beta)
+    psi3 = np.array([0.0, -cos_a, sin_a, 0.0], dtype=complex)
+    psi4 = np.array([-cos_b, 0.0, 0.0, sin_b], dtype=complex)
+    flags = identity(4)
+    if probabilities is None:
+        probabilities = (params.p, 1.0 - params.p, 0.0, 0.0)
+    return ZeroDiscordFamily(
+        probabilities,
+        (psi1, psi2, psi3, psi4),
+        (flags[1], flags[0], flags[2], flags[3]),
+    )
 
 
 def build_initial_state(params: SpinStarParams) -> DensityMatrix:
     """Flagged two-branch mixture on (A, B, E) with the effective bath ladder."""
-    psi1, psi2 = branch_vectors(params.alpha, params.beta)
-    flag1 = np.zeros(ENV_LEVELS, dtype=complex)
-    flag1[1] = 1.0
-    flag0 = np.zeros(ENV_LEVELS, dtype=complex)
-    flag0[0] = 1.0
-    mat = flagged_mixture([(params.p, psi1, flag1), (1.0 - params.p, psi2, flag0)])
-    return DensityMatrix(mat, PAIR_ENV_DIMS)
+    return zero_discord_family(params).mixture(ENV_LEVELS)
 
 
 def build_w_state(x: float, y: float, z: float) -> PureState:
@@ -295,8 +354,7 @@ def evolve_sector(state: DensityMatrix, t: float, params: SpinStarParams) -> Den
         raise ValueError(
             f"population {population:.3e} on the top bath rung lies outside the truncation"
         )
-    u_full = np.kron(identity(2), sector_unitary(params, t, levels))
-    return DensityMatrix(u_full @ state.mat @ dagger(u_full), state.dims)
+    return conjugate_local(state, sector_unitary(params, t, levels))
 
 
 def build_full_hamiltonian(n_spins: int, g: float) -> np.ndarray:
@@ -369,7 +427,3 @@ class BruteForceEvolver:
             rho += weight * (m @ dagger(m))
         return DensityMatrix(rho, DimsSpec(("A", 2), ("B", 2)))
 
-
-def brute_force_reduced_state(params: SpinStarParams, t: float) -> DensityMatrix:
-    """One-shot full-space evolution; see BruteForceEvolver for grids."""
-    return BruteForceEvolver(params).reduced_state(t)

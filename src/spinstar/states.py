@@ -14,12 +14,15 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .linalg import dagger, max_abs
+from .linalg import dagger, identity, max_abs
 
 __all__ = [
     "DimsSpec",
     "DensityMatrix",
     "PureState",
+    "check_probabilities",
+    "split_cut",
+    "conjugate_local",
     "partial_trace",
     "von_neumann_entropy",
     "mutual_information",
@@ -28,6 +31,28 @@ __all__ = [
 
 #: eigenvalues of a state in [ENTROPY_EIG_FLOOR, 0) are treated as exact zeros
 ENTROPY_EIG_FLOOR = -1e-9
+
+#: probability vectors must sum to one within this tolerance
+PROB_TOL = 1e-12
+
+Cut = tuple[Iterable[str], Iterable[str]]
+
+
+def check_probabilities(weights: Iterable[float], what: str) -> tuple[float, ...]:
+    """The weights of a distribution over `what`s, checked and as floats.
+
+    There must be at least one weight, each must lie in [0, 1], and their
+    exact (fsum) total must be one within PROB_TOL.
+    """
+    probs = tuple(float(w) for w in weights)
+    if not probs:
+        raise ValueError(f"at least one {what} is required")
+    if not all(0.0 <= p <= 1.0 for p in probs):
+        raise ValueError(f"{what} weights must be non-negative and at most 1, got {probs}")
+    total = math.fsum(probs)
+    if abs(total - 1.0) > PROB_TOL:
+        raise ValueError(f"{what} weights sum to {total:.12g}, not 1")
+    return probs
 
 
 class DimsSpec:
@@ -177,6 +202,28 @@ class PureState:
         return f"PureState(dim={self.vec.size}, dims={self.dims!r})"
 
 
+def split_cut(dims: DimsSpec, cut: Cut) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The two label groups of a bipartition (X, Y) of all factors in `dims`."""
+    x_group = tuple(cut[0])
+    y_group = tuple(cut[1])
+    if not x_group or not y_group:
+        raise ValueError("both sides of the cut must be non-empty")
+    seen = x_group + y_group
+    if len(set(seen)) != len(seen):
+        raise ValueError(f"cut groups overlap or repeat labels: {x_group} vs {y_group}")
+    if set(seen) != set(dims.labels):
+        raise ValueError(
+            f"cut {x_group} vs {y_group} does not partition factors {list(dims.labels)}"
+        )
+    return x_group, y_group
+
+
+def conjugate_local(rho: DensityMatrix, u: np.ndarray) -> DensityMatrix:
+    """(I x u) rho (I x u)^dagger, with u acting on the trailing factors."""
+    full = np.kron(identity(rho.dim // u.shape[0]), u)
+    return DensityMatrix(full @ rho.mat @ dagger(full), rho.dims)
+
+
 def _label_group(dims: DimsSpec, labels: Iterable[str]) -> tuple[str, ...]:
     group = tuple(labels)
     if not group:
@@ -228,19 +275,10 @@ def von_neumann_entropy(rho: DensityMatrix, base: float = 2) -> float:
     return _entropy_of_matrix(rho.mat, _check_base(base))
 
 
-def mutual_information(
-    rho: DensityMatrix,
-    cut: tuple[Iterable[str], Iterable[str]],
-    base: float = 2,
-) -> float:
+def mutual_information(rho: DensityMatrix, cut: Cut, base: float = 2) -> float:
     """S(X) + S(Y) - S(XY) for a bipartition (X, Y) of all factors."""
     base = _check_base(base)
-    x_group = _label_group(rho.dims, cut[0])
-    y_group = _label_group(rho.dims, cut[1])
-    if set(x_group) & set(y_group):
-        raise ValueError(f"cut groups overlap: {x_group} vs {y_group}")
-    if set(x_group) | set(y_group) != set(rho.dims.labels):
-        raise ValueError(f"cut {cut!r} does not partition factors {list(rho.dims.labels)}")
+    x_group, y_group = split_cut(rho.dims, cut)
     value = (
         von_neumann_entropy(partial_trace(rho, x_group), base)
         + von_neumann_entropy(partial_trace(rho, y_group), base)

@@ -18,14 +18,12 @@ from spinstar import (
     build_initial_state,
     build_w_state,
     choi_matrix,
-    completeness_residual,
     concurrence_2q,
     discord_zero_check,
     evolve_sector,
     extract_kraus,
     partial_trace,
     random_phase_channel,
-    ruc_dilation,
     ruc_trajectory,
     zero_discord_family,
 )
@@ -106,7 +104,7 @@ class TestExtractKraus:
         family, params = default_family()
         for t in rng.uniform(0.0, 4.0 * math.pi, size=8):
             channel = extract_kraus(family, params, float(t))
-            assert completeness_residual(channel) <= 1e-9
+            assert channel.residual <= 1e-9
 
     def test_matches_traced_unitary_evolution(self):
         """Operator-sum output equals joint evolution followed by the bath
@@ -154,7 +152,7 @@ class TestKrausChannel:
     def test_identity_channel(self):
         rng = np.random.default_rng(23)
         channel = KrausChannel([identity(4)])
-        assert completeness_residual(channel) == 0.0
+        assert channel.residual == 0.0
         rho = random_density(rng, TWO_QUBITS)
         out = apply_channel(channel, rho)
         np.testing.assert_allclose(out.mat, rho.mat, atol=1e-15)
@@ -244,42 +242,6 @@ class TestRandomUnitaryChannel:
         rho = DensityMatrix(np.eye(2) / 2.0, DimsSpec(("B", 2)))
         with pytest.raises(ValueError, match="two-qubit"):
             apply_random_unitary(channel, rho)
-
-
-class TestRucDilation:
-    def test_single_branch_embeds_the_unitary(self):
-        u = np.diag([1.0, 1j])
-        env, joint = ruc_dilation(RandomUnitaryChannel([(1.0, u)]))
-        assert env.dims.dims == (1,)
-        np.testing.assert_allclose(joint, np.kron(identity(2), u), atol=1e-15)
-
-    def test_tracing_the_dial_reproduces_the_channel(self):
-        rng = np.random.default_rng(25)
-        channel = random_phase_channel(1.0)(0.8)
-        env, joint = ruc_dilation(channel)
-        rho = random_density(rng, TWO_QUBITS)
-        dims = DimsSpec(("A", 2), ("B", 2), ("E", len(channel)))
-        joint_state = DensityMatrix(np.kron(rho.mat, env.mat), dims)
-        evolved = joint @ joint_state.mat @ dagger(joint)
-        reduced = partial_trace(DensityMatrix(evolved, dims), ("A", "B"))
-        direct = apply_random_unitary(channel, rho)
-        assert np.max(np.abs(reduced.mat - direct.mat)) <= 1e-10
-
-    def test_dial_state_never_moves(self):
-        rng = np.random.default_rng(26)
-        channel = random_phase_channel(2.0)(1.1)
-        env, joint = ruc_dilation(channel)
-        rho = random_density(rng, TWO_QUBITS)
-        dims = DimsSpec(("A", 2), ("B", 2), ("E", len(channel)))
-        evolved = joint @ np.kron(rho.mat, env.mat) @ dagger(joint)
-        dial_after = partial_trace(DensityMatrix(evolved, dims), ("E",))
-        assert np.max(np.abs(dial_after.mat - env.mat)) <= 1e-12
-
-    def test_callable_channel_is_evaluated_at_t(self):
-        env, joint = ruc_dilation(random_phase_channel(1.0), t=math.pi)
-        direct_env, direct_joint = ruc_dilation(random_phase_channel(1.0)(math.pi))
-        np.testing.assert_allclose(joint, direct_joint, atol=1e-15)
-        np.testing.assert_allclose(env.mat, direct_env.mat, atol=1e-15)
 
 
 class TestRucTrajectory:

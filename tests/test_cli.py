@@ -195,6 +195,32 @@ class TestHidden:
         assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "--t-max", "inf"),
+        ("hidden", "--t-max", "inf"),
+        ("sweep", "--coupling", "inf"),
+        ("kraus-check", "--t", "inf"),
+        ("kraus-check", "--t", "nan"),
+        ("kraus-check", "--t", "-0.5"),
+        ("sweep", "--env-spins", "12", "--oracle"),
+        ("sweep", "--env-spins", "13", "--oracle"),
+        ("sweep", "--steps", "100000000000"),
+        ("hidden", "--steps", "100001"),
+        ("sweep", "--seed", "5"),
+    ],
+)
+def test_bad_input_exits_2_with_a_message(capsys, argv):
+    """Non-finite numbers, negative check times, oracle baths past the dense
+    cap, grids past the step ceiling and the removed `sweep --seed` are
+    refused before any work."""
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "error" in err
+
+
 class TestTopLevel:
     def test_missing_subcommand(self, capsys):
         assert run(capsys, *())[0] == EXIT_USAGE

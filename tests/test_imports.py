@@ -1,0 +1,60 @@
+"""Every name a library module imports is used in that module.
+
+Parsed with the standard library's ``ast``, since no linter is a dependency.
+A name counts as used when it appears as an identifier or attribute base
+anywhere in the module, or as a string in ``__all__`` (a re-export).
+Imports under ``if TYPE_CHECKING:`` serve annotations only and are exempt.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "spinstar"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _is_type_checking_block(node: ast.AST) -> bool:
+    return isinstance(node, ast.If) and ast.unparse(node.test).endswith("TYPE_CHECKING")
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    exempt: set[int] = set()
+    for node in ast.walk(tree):
+        if _is_type_checking_block(node):
+            exempt.update(id(child) for child in ast.walk(node))
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in exempt:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_detects_an_unused_import():
+    source = (
+        "from typing import TYPE_CHECKING\n"
+        "import math\n"
+        "import os\n"
+        "if TYPE_CHECKING:\n"
+        "    import sys\n"
+        "__all__ = ['os']\n"
+        "print(TYPE_CHECKING)\n"
+    )
+    assert unused_imports(source) == ["math (line 2)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_has_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -10,13 +10,10 @@ from spinstar.linalg import (
     SIGMA_Y,
     SIGMA_Z,
     dagger,
-    expm_hermitian,
     haar_unitary,
     herm_eig,
     identity,
-    is_hermitian,
     max_abs,
-    psd_sqrt,
     tensor,
 )
 
@@ -88,12 +85,6 @@ def test_max_abs():
     assert max_abs(np.array([[1, -3j], [2, 0]])) == 3.0
 
 
-def test_is_hermitian():
-    assert is_hermitian(SIGMA_Y)
-    assert not is_hermitian(SIGMA_PLUS)
-    assert not is_hermitian(np.ones((2, 3)))
-
-
 def test_herm_eig_identity():
     vals, _ = herm_eig(identity(3))
     assert np.allclose(vals, [1, 1, 1], atol=1e-14)
@@ -141,54 +132,6 @@ def test_herm_eig_rejects_non_finite():
     m = np.array([[np.inf, 0], [0, 1]], dtype=complex)
     with pytest.raises(ValueError):
         herm_eig(m)
-
-
-def test_expm_hermitian_zero_time():
-    rng = np.random.default_rng(5)
-    h = random_hermitian(rng, 4)
-    assert max_abs(expm_hermitian(h, 0.0) - identity(4)) <= 1e-14
-
-
-def test_expm_hermitian_sigma_x_quarter_turn():
-    """exp(-i theta sigma_x) = cos(theta) I - i sin(theta) sigma_x at theta = pi/2."""
-    u = expm_hermitian(SIGMA_X, np.pi / 2)
-    assert max_abs(u - (-1j) * SIGMA_X) <= 1e-12
-
-
-def test_expm_hermitian_group_inverse():
-    rng = np.random.default_rng(6)
-    h = random_hermitian(rng, 5)
-    for t in (0.3, 1.7, 12.0):
-        u = expm_hermitian(h, t)
-        assert max_abs(u @ expm_hermitian(h, -t) - identity(5)) <= 1e-10
-        assert max_abs(dagger(u) @ u - identity(5)) <= 1e-10
-
-
-def test_psd_sqrt_identity():
-    assert max_abs(psd_sqrt(identity(3)) - identity(3)) <= 1e-14
-
-
-def test_psd_sqrt_diagonal():
-    assert max_abs(psd_sqrt(np.diag([4.0, 9.0])) - np.diag([2.0, 3.0])) <= 1e-14
-
-
-def test_psd_sqrt_projector_idempotent():
-    bell = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)
-    proj = np.outer(bell, bell.conj())
-    assert max_abs(psd_sqrt(proj) - proj) <= 1e-12
-
-
-def test_psd_sqrt_square_reconstruction():
-    rng = np.random.default_rng(7)
-    g = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    m = g @ g.conj().T
-    root = psd_sqrt(m)
-    assert max_abs(root @ root - m) <= 1e-9
-
-
-def test_psd_sqrt_rejects_negative():
-    with pytest.raises(ValueError, match="positive semidefinite"):
-        psd_sqrt(np.diag([1.0, -0.5]))
 
 
 def test_haar_unitary_is_unitary():

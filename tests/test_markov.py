@@ -168,9 +168,7 @@ class TestIsMarkov:
 
 class TestWitnesses:
     def test_shared_excitation_state_is_certified(self):
-        report = markov_necessary_witnesses(symmetric_w_state().to_density())
-        assert report.non_markov_certified
-        (result,) = report.results
+        result = markov_necessary_witnesses(symmetric_w_state().to_density())
         assert result.npt
         assert result.min_eigenvalue == pytest.approx(
             -(math.sqrt(5.0) - 1.0) / 6.0, abs=1e-9
@@ -187,9 +185,8 @@ class TestWitnesses:
             for eb in range(2):
                 vec[ea * 4 + eb] = bell[ea * 2 + eb]
         rho = DensityMatrix(np.outer(vec, vec.conj()), dims)
-        report = markov_necessary_witnesses(rho)
-        assert report.non_markov_certified
-        (result,) = report.results
+        result = markov_necessary_witnesses(rho)
+        assert result.npt
         assert result.min_eigenvalue == pytest.approx(-0.5, abs=1e-12)
         assert result.cut == "EA;EB after tracing A, B"
 
@@ -200,9 +197,9 @@ class TestWitnesses:
             np.kron(np.kron(mats[0], mats[1]), mats[2]),
             DimsSpec(("A", 2), ("B", 2), ("E", 2)),
         )
-        report = markov_necessary_witnesses(rho)
-        assert not report.non_markov_certified
-        assert report.results[0].min_eigenvalue >= -1e-12
+        result = markov_necessary_witnesses(rho)
+        assert not result.npt
+        assert result.min_eigenvalue >= -1e-12
 
     def test_rejects_wrong_factor_count(self):
         rng = np.random.default_rng(38)
@@ -217,8 +214,7 @@ class TestWitnesses:
             symmetric_w_state().to_density(),
             build_initial_state(SpinStarParams()),
         ):
-            report = markov_necessary_witnesses(rho)
-            if report.non_markov_certified:
+            if markov_necessary_witnesses(rho).npt:
                 assert conditional_mutual_information(rho) > CMI_TOL
 
 

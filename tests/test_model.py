@@ -14,7 +14,6 @@ from spinstar import (
     DimsSpec,
     SpinStarParams,
     branch_vectors,
-    brute_force_reduced_state,
     build_full_hamiltonian,
     build_initial_state,
     build_w_state,
@@ -30,7 +29,7 @@ from spinstar import (
     sector_unitary,
 )
 from spinstar.linalg import SIGMA_PLUS, dagger, identity, tensor
-from spinstar.model import ENV_LEVELS, PAIR_ENV_DIMS, flagged_mixture
+from spinstar.model import ENV_LEVELS, PAIR_ENV_DIMS, ZeroDiscordFamily
 from test_acceptance import GRID, PAIR_CUT, WINDOW_7
 
 # frozen against scipy.optimize.minimize_scalar on the closed form at the
@@ -214,7 +213,7 @@ class TestInitialState:
 
     def test_flagged_mixture_requires_members(self):
         with pytest.raises(ValueError, match="member"):
-            flagged_mixture([])
+            ZeroDiscordFamily([], [], [])
 
 
 class TestWState:
@@ -338,8 +337,9 @@ class TestFullHamiltonian:
     def test_rejects_out_of_range_sizes(self):
         with pytest.raises(ValueError, match="n_spins"):
             build_full_hamiltonian(0, 1.0)
-        with pytest.raises(ValueError, match="n_spins"):
-            build_full_hamiltonian(13, 1.0)
+        for n_spins in (12, 13):
+            with pytest.raises(ValueError, match="n_spins"):
+                build_full_hamiltonian(n_spins, 1.0)
 
 
 class TestDickeVector:
@@ -407,12 +407,6 @@ class TestBruteForceEvolver:
                 evolve_sector(rho0, float(t), params), ("A", "B")
             ).mat
             assert np.max(np.abs(dense - laddered)) <= 1e-9
-
-    def test_one_shot_helper_agrees(self):
-        params = default_params(env_spins=2)
-        a = brute_force_reduced_state(params, 0.8).mat
-        b = BruteForceEvolver(params).reduced_state(0.8).mat
-        np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_concurrence_tracks_closed_form(self):
         params = default_params(env_spins=6)
