@@ -20,19 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import (
-    EnsembleMember,
-    concurrence_2q,
-    ensemble_concurrence,
-    hidden_entanglement,
-)
+from .entanglement import EnsembleMember, concurrence_2q, hidden_entanglement
 from .linalg import check_orthonormal, dagger, identity, max_abs
-from .model import SpinStarParams, ZeroDiscordFamily, sector_unitary, zero_discord_family
+from .model import SpinStarParams, ZeroDiscordFamily, sector_unitary
 from .states import DensityMatrix, check_probabilities, conjugate_local
 
 __all__ = [
-    "ZeroDiscordFamily",
-    "zero_discord_family",
     "KrausChannel",
     "extract_kraus",
     "apply_channel",
@@ -56,7 +49,7 @@ class KrausChannel:
 
     __slots__ = ("operators", "residual")
 
-    def __init__(self, operators: Sequence[np.ndarray], *, tol: float = COMPLETENESS_TOL):
+    def __init__(self, operators: Sequence[np.ndarray]):
         ops = tuple(np.array(k, dtype=complex) for k in operators)
         if not ops:
             raise ValueError("at least one Kraus operator is required")
@@ -67,9 +60,9 @@ class KrausChannel:
         residual = max_abs(
             sum(dagger(k) @ k for k in ops) - identity(dim)
         )
-        if residual > tol:
+        if residual > COMPLETENESS_TOL:
             raise ValueError(
-                f"Kraus completeness residual {residual:.3e} exceeds {tol:.1e}"
+                f"Kraus completeness residual {residual:.3e} exceeds {COMPLETENESS_TOL:.1e}"
             )
         for k in ops:
             k.setflags(write=False)
@@ -193,8 +186,6 @@ class RucSample:
     """Snapshot of a random-unitary trajectory at one time."""
 
     t: float
-    mixture: DensityMatrix
-    branches: tuple[tuple[float, DensityMatrix], ...]
     mixture_concurrence: float
     ensemble_concurrence: float
     hidden: float
@@ -214,7 +205,6 @@ def ruc_trajectory(
     if len(rho0.dims) != 2 or rho0.dims.dims != (2, 2):
         raise ValueError(f"need a two-qubit initial state, got {rho0.dims!r}")
     c0 = concurrence_2q(rho0)
-    cut = tuple((lab,) for lab in rho0.dims.labels)
     samples = []
     for t in t_grid:
         channel = builder(t)
@@ -224,24 +214,12 @@ def ruc_trajectory(
             branch = conjugate_local(rho0, u)
             members.append(EnsembleMember(p, branch))
             mixture = mixture + p * branch.mat
-        mixed = DensityMatrix(mixture, rho0.dims)
-        c_ens = ensemble_concurrence(members, cut)
+        c_ens, c_mix, hidden = hidden_entanglement(members, DensityMatrix(mixture, rho0.dims))
         if abs(c_ens - c0) > 1e-9:
             raise ArithmeticError(
                 f"ensemble concurrence drifted to {c_ens:.12g} from {c0:.12g} at t={t!r}"
             )
-        c_mix = concurrence_2q(mixed)
-        hidden = hidden_entanglement(members, mixed)
-        samples.append(
-            RucSample(
-                t=float(t),
-                mixture=mixed,
-                branches=tuple((m.weight, m.state) for m in members),
-                mixture_concurrence=c_mix,
-                ensemble_concurrence=c_ens,
-                hidden=hidden,
-            )
-        )
+        samples.append(RucSample(float(t), c_mix, c_ens, hidden))
     return tuple(samples)
 
 

@@ -18,11 +18,11 @@ from .channels import (
     extract_kraus,
     random_phase_channel,
     ruc_trajectory,
-    zero_discord_family,
 )
 from .entanglement import concurrence_2q, concurrence_a_be, inaccessible_concurrence
 from .markov import MarkovBlock, MarkovBlockSpec, is_markov, make_markov_state, markov_necessary_witnesses
 from .model import (
+    ENV_LEVELS,
     LARGE_N,
     BruteForceEvolver,
     SpinStarParams,
@@ -31,6 +31,7 @@ from .model import (
     closed_form_coeffs,
     concurrence_closed_form,
     evolve_sector,
+    zero_discord_family,
 )
 from .states import DensityMatrix, DimsSpec, mutual_information, partial_trace
 
@@ -41,8 +42,8 @@ EXIT_CHECK = 3
 #: closed-form and numeric trajectories must agree this tightly in sweeps
 SWEEP_CONSISTENCY_TOL = 1e-6
 
-#: largest accepted --steps; `hidden` keeps about 1.7 kB of states per grid
-#: point, so it peaks near 230 MB resident at this ceiling
+#: largest accepted --steps; `hidden` keeps about 0.2 kB of samples per grid
+#: point and peaks near 75 MB resident at this ceiling
 MAX_STEPS = 100_000
 
 SWEEP_HEADER = "omega_t,c_closed,c_numeric,mi,c_abe,c_inaccessible"
@@ -132,6 +133,22 @@ def _grid_from(args: argparse.Namespace) -> np.ndarray:
     return np.linspace(0.0, args.t_max, args.steps)
 
 
+def _check_angles(params: SpinStarParams, omega_t_max: float, top_rung: int) -> None:
+    """Refuse a run whose largest rotation angle Omega_n t is not finite.
+
+    The run rotates ladder rungs 0..top_rung up to omega*t = omega_t_max; on a
+    finite bath the rung frequency peaks at rung (N - 1) // 2.  An infinite
+    collective frequency omega gives t = 0 and the angle inf * 0 = nan.
+    """
+    if not params.is_large_n:
+        top_rung = min(top_rung, (int(params.env_spins) - 1) // 2)
+    angle = params.mode_frequency(top_rung) * (omega_t_max / params.omega)
+    if not math.isfinite(angle):
+        raise ValueError(
+            f"rotation angle overflows: omega*t up to {omega_t_max!r}, --coupling {params.coupling!r}"
+        )
+
+
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
@@ -207,6 +224,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         grid = _grid_from(args)
         if args.oracle and params.is_large_n:
             raise ValueError("--oracle needs a finite bath; pass --env-spins N")
+        # the oracle's spectrum spans every rung of the bath
+        _check_angles(params, args.t_max, params.env_spins if args.oracle else ENV_LEVELS - 2)
         evolver = BruteForceEvolver(params) if args.oracle else None
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -261,6 +280,8 @@ def _cmd_kraus_check(args: argparse.Namespace) -> int:
         params = _params_from(args)
         if args.t is not None and args.t < 0.0:
             raise ValueError(f"--t must be non-negative, got {args.t}")
+        # the Kraus propagator has one bath level beyond the flags
+        _check_angles(params, 4.0 * math.pi if args.t is None else args.t, ENV_LEVELS - 1)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

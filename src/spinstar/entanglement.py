@@ -37,6 +37,10 @@ __all__ = [
 #: density-matrix eigenvalues at or below this are treated as unpopulated
 RANK_TOL = 1e-12
 
+#: the two-qubit spin flip Y x Y, which is real
+SPIN_FLIP = tensor(SIGMA_Y, SIGMA_Y).real
+SPIN_FLIP.setflags(write=False)
+
 State = Union[PureState, DensityMatrix]
 
 
@@ -78,11 +82,10 @@ def spin_flip_coefficients(rho: DensityMatrix) -> np.ndarray:
     Eigenvalues of rho at or below RANK_TOL carry no usable amplitude and are
     dropped.
     """
-    yy = tensor(SIGMA_Y, SIGMA_Y).real
     vals, vecs = herm_eig(rho.mat)
     keep = vals > RANK_TOL
     w = vecs[:, keep] * np.sqrt(vals[keep])
-    tau = w.T @ yy @ w
+    tau = w.T @ SPIN_FLIP @ w
     lams = np.zeros(4)
     if tau.size:
         sv = np.linalg.svd(tau, compute_uv=False)
@@ -90,17 +93,14 @@ def spin_flip_coefficients(rho: DensityMatrix) -> np.ndarray:
     return lams
 
 
-def concurrence_2q(rho: DensityMatrix, cut: tuple[str, str] | None = None) -> float:
+def concurrence_2q(rho: DensityMatrix) -> float:
     """Concurrence of a two-qubit density matrix.
 
     The state must consist of exactly two dimension-2 factors; anything else
-    must be traced out first.  The optional cut names the two qubit labels and
-    is checked against the state's factors.
+    must be traced out first.
     """
     if len(rho.dims) != 2 or rho.dims.dims != (2, 2):
         raise ValueError(f"need exactly two qubit factors, got {rho.dims!r}")
-    if cut is not None and set(cut) != set(rho.dims.labels):
-        raise ValueError(f"cut {cut!r} does not name the factors {list(rho.dims.labels)}")
     lams = spin_flip_coefficients(rho)
     return max(0.0, float(lams[0] - lams[1] - lams[2] - lams[3]))
 
@@ -130,7 +130,7 @@ def _member_concurrence(state: State, cut: Cut) -> float:
         x_group, y_group = split_cut(state.dims, cut)
         if len(x_group) != 1 or len(y_group) != 1:
             raise ValueError("mixed ensemble members support only single-qubit cut groups")
-        return concurrence_2q(state, (x_group[0], y_group[0]))
+        return concurrence_2q(state)
     raise ValueError(f"unsupported ensemble member state {type(state).__name__}")
 
 
@@ -166,23 +166,19 @@ def inaccessible_concurrence(c_whole: float, c_sys: float) -> float:
 
 
 def hidden_entanglement(
-    members: Sequence[EnsembleMember],
-    rho_mix: DensityMatrix,
-    cut: tuple[str, str] | None = None,
-) -> float:
-    """Ensemble-averaged concurrence minus the concurrence of the mixture.
+    members: Sequence[EnsembleMember], rho_mix: DensityMatrix
+) -> tuple[float, float, float]:
+    """Ensemble-averaged concurrence, mixture concurrence, and their gap.
 
-    The weighted mixture of the members must reproduce rho_mix within 1e-9 in
-    the max-entry norm.  Convexity of the concurrence keeps the result
-    non-negative up to rounding.
+    Returns (ensemble average, concurrence of rho_mix, hidden entanglement),
+    the last being the first minus the second, across the cut between the two
+    qubits of rho_mix.  The weighted mixture of the members must reproduce
+    rho_mix within 1e-9 in the max-entry norm.  Convexity of the concurrence
+    keeps the gap non-negative up to rounding.
     """
-    check_probabilities((m.weight for m in members), "ensemble member")
     if len(rho_mix.dims) != 2 or rho_mix.dims.dims != (2, 2):
         raise ValueError(f"mixture must be a two-qubit state, got {rho_mix.dims!r}")
-    if cut is None:
-        cut_pair = rho_mix.dims.labels
-    else:
-        cut_pair = (cut[0], cut[1])
+    c_ens = ensemble_concurrence(members, tuple((lab,) for lab in rho_mix.dims.labels))
     mixture = np.zeros_like(rho_mix.mat)
     for m in members:
         mat = m.state.to_density().mat if isinstance(m.state, PureState) else m.state.mat
@@ -190,8 +186,8 @@ def hidden_entanglement(
     dev = max_abs(mixture - rho_mix.mat)
     if dev > 1e-9:
         raise ValueError(f"ensemble mixture deviates from rho_mix by {dev:.3e}")
-    group_cut = ((cut_pair[0],), (cut_pair[1],))
-    value = ensemble_concurrence(members, group_cut) - concurrence_2q(rho_mix, cut_pair)
-    if value < -1e-9:
-        raise ArithmeticError(f"hidden entanglement {value:.3e} below -1e-9; convexity violated")
-    return value
+    c_mix = concurrence_2q(rho_mix)
+    hidden = c_ens - c_mix
+    if hidden < -1e-9:
+        raise ArithmeticError(f"hidden entanglement {hidden:.3e} below -1e-9; convexity violated")
+    return c_ens, c_mix, hidden

@@ -26,7 +26,7 @@ __all__ = [
     "haar_unitary",
 ]
 
-#: default tolerance for Hermiticity checks
+#: tolerance of every Hermiticity check
 HERM_TOL = 1e-10
 
 #: largest tolerated entry of the Gram matrix minus the identity
@@ -91,7 +91,7 @@ def _check_square(m: np.ndarray, what: str) -> np.ndarray:
     return m
 
 
-def herm_eig(m: np.ndarray, tol: float = HERM_TOL) -> tuple[np.ndarray, np.ndarray]:
+def herm_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Spectral decomposition of a Hermitian matrix.
 
     Returns ``(vals, vecs)`` with eigenvalues ascending and eigenvectors as
@@ -100,9 +100,9 @@ def herm_eig(m: np.ndarray, tol: float = HERM_TOL) -> tuple[np.ndarray, np.ndarr
     """
     m = _check_square(m, "herm_eig input")
     dev = max_abs(m - dagger(m))
-    if dev > tol:
+    if dev > HERM_TOL:
         raise ValueError(
-            f"herm_eig input is not Hermitian: max |m - m^dagger| = {dev:.3e} exceeds tol {tol:.1e}"
+            f"herm_eig input is not Hermitian: max |m - m^dagger| = {dev:.3e} exceeds {HERM_TOL:.1e}"
         )
     # symmetrize so roundoff in the input cannot leak into complex eigenvalues
     sym = (m + dagger(m)) / 2.0

@@ -126,10 +126,10 @@ class MarkovDecision:
     tol: float
 
 
-def is_markov(rho: DensityMatrix, tol: float = CMI_TOL) -> MarkovDecision:
+def is_markov(rho: DensityMatrix) -> MarkovDecision:
     """Decide Markov structure by conditioning on the middle factor."""
     cmi = conditional_mutual_information(rho)
-    return MarkovDecision(markov=cmi <= tol, cmi=cmi, tol=tol)
+    return MarkovDecision(markov=cmi <= CMI_TOL, cmi=cmi, tol=CMI_TOL)
 
 
 @dataclass(frozen=True)

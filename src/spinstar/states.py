@@ -14,7 +14,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .linalg import dagger, identity, max_abs
+from .linalg import HERM_TOL, dagger, identity, max_abs
 
 __all__ = [
     "DimsSpec",
@@ -34,6 +34,9 @@ ENTROPY_EIG_FLOOR = -1e-9
 
 #: probability vectors must sum to one within this tolerance
 PROB_TOL = 1e-12
+
+#: state vectors must have unit norm within this tolerance
+NORM_TOL = 1e-12
 
 Cut = tuple[Iterable[str], Iterable[str]]
 
@@ -121,17 +124,18 @@ class DensityMatrix:
     """Validated density operator over a labeled factorization.
 
     Construction rejects matrices that are not Hermitian, not unit trace, or
-    not positive semidefinite within the given tolerances.
+    not positive semidefinite within the given tolerances.  `eigenvalues` is
+    the read-only ascending spectrum of the symmetrized matrix that the
+    positivity check solved for.
     """
 
-    __slots__ = ("mat", "dims")
+    __slots__ = ("mat", "dims", "eigenvalues")
 
     def __init__(
         self,
         mat: np.ndarray,
         dims: DimsSpec,
         *,
-        herm_tol: float = 1e-10,
         trace_tol: float = 1e-10,
         eig_floor: float = 1e-9,
     ):
@@ -148,21 +152,24 @@ class DensityMatrix:
         if not np.all(np.isfinite(arr)):
             raise ValueError("density matrix has non-finite entries")
         dev = max_abs(arr - dagger(arr))
-        if dev > herm_tol:
+        if dev > HERM_TOL:
             raise ValueError(
-                f"density matrix is not Hermitian: max deviation {dev:.3e} exceeds {herm_tol:.1e}"
+                f"density matrix is not Hermitian: max deviation {dev:.3e} exceeds {HERM_TOL:.1e}"
             )
         tr = complex(np.trace(arr))
         if abs(tr - 1.0) > trace_tol:
             raise ValueError(f"density matrix trace {tr:.12g} is not 1 within {trace_tol:.1e}")
-        low = float(np.linalg.eigvalsh((arr + dagger(arr)) / 2.0)[0])
+        vals = np.linalg.eigvalsh((arr + dagger(arr)) / 2.0)
+        low = float(vals[0])
         if low < -eig_floor:
             raise ValueError(
                 f"density matrix is not positive semidefinite: min eigenvalue {low:.3e}"
             )
         arr.setflags(write=False)
+        vals.setflags(write=False)
         self.mat = arr
         self.dims = dims
+        self.eigenvalues = vals
 
     @property
     def dim(self) -> int:
@@ -177,7 +184,7 @@ class PureState:
 
     __slots__ = ("vec", "dims")
 
-    def __init__(self, vec: np.ndarray, dims: DimsSpec, *, norm_tol: float = 1e-12):
+    def __init__(self, vec: np.ndarray, dims: DimsSpec):
         if not isinstance(dims, DimsSpec):
             dims = DimsSpec(*dims)
         arr = np.array(vec, dtype=complex).reshape(-1)
@@ -189,8 +196,8 @@ class PureState:
         if not np.all(np.isfinite(arr)):
             raise ValueError("state vector has non-finite entries")
         norm = float(np.linalg.norm(arr))
-        if abs(norm - 1.0) > norm_tol:
-            raise ValueError(f"state vector norm {norm:.12g} is not 1 within {norm_tol:.1e}")
+        if abs(norm - 1.0) > NORM_TOL:
+            raise ValueError(f"state vector norm {norm:.12g} is not 1 within {NORM_TOL:.1e}")
         arr.setflags(write=False)
         self.vec = arr
         self.dims = dims
@@ -260,19 +267,15 @@ def _check_base(base: float) -> float:
     return float(base)
 
 
-def _entropy_of_matrix(mat: np.ndarray, base: float) -> float:
-    vals = np.linalg.eigvalsh((mat + dagger(mat)) / 2.0)
-    low = float(vals[0])
-    if low < ENTROPY_EIG_FLOOR:
-        raise ValueError(f"state eigenvalue {low:.3e} below floor {ENTROPY_EIG_FLOOR:.1e}")
-    probs = np.clip(vals, 0.0, None)
-    probs = probs[probs > 0.0]
-    return float(-(probs @ np.log(probs)) / math.log(base))
-
-
 def von_neumann_entropy(rho: DensityMatrix, base: float = 2) -> float:
     """Spectral entropy -sum(p log p) of a density matrix, 0 log 0 = 0."""
-    return _entropy_of_matrix(rho.mat, _check_base(base))
+    base = _check_base(base)
+    low = float(rho.eigenvalues[0])
+    if low < ENTROPY_EIG_FLOOR:
+        raise ValueError(f"state eigenvalue {low:.3e} below floor {ENTROPY_EIG_FLOOR:.1e}")
+    probs = np.clip(rho.eigenvalues, 0.0, None)
+    probs = probs[probs > 0.0]
+    return float(-(probs @ np.log(probs)) / math.log(base))
 
 
 def mutual_information(rho: DensityMatrix, cut: Cut, base: float = 2) -> float:

@@ -265,15 +265,6 @@ class TestRucTrajectory:
         assert samples[0].hidden == 0.0
         assert samples[1].mixture_concurrence == pytest.approx(1.0, abs=1e-12)
 
-    def test_branch_bookkeeping(self):
-        rho = density_from_vec(bell_pair(), TWO_QUBITS)
-        (sample,) = ruc_trajectory(random_phase_channel(1.0), rho, [0.7])
-        assert len(sample.branches) == 2
-        weights = [w for w, _ in sample.branches]
-        assert weights == [0.5, 0.5]
-        recombined = sum(w * s.mat for w, s in sample.branches)
-        assert np.max(np.abs(recombined - sample.mixture.mat)) <= 1e-12
-
     def test_rejects_wrong_input_dims(self):
         rho = build_initial_state(SpinStarParams())
         with pytest.raises(ValueError, match="two-qubit initial state"):

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from spinstar import channels, entanglement
 from spinstar.cli import (
     EXIT_CHECK,
     EXIT_OK,
@@ -194,6 +195,21 @@ class TestHidden:
         code, _, _ = run(capsys, "hidden", "--steps", "0")
         assert code == EXIT_USAGE
 
+    def test_each_concurrence_is_computed_once(self, capsys, monkeypatch):
+        """One for the initial state, then two branches and the mixture per point."""
+        calls = []
+        original = entanglement.concurrence_2q
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        for module in (entanglement, channels):
+            monkeypatch.setattr(module, "concurrence_2q", counted)
+        code, _, _ = run(capsys, "hidden", "--steps", "10")
+        assert code == EXIT_OK
+        assert len(calls) == 1 + 3 * 10
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -209,12 +225,19 @@ class TestHidden:
         ("sweep", "--steps", "100000000000"),
         ("hidden", "--steps", "100001"),
         ("sweep", "--seed", "5"),
+        ("sweep", "--coupling", "1e-320", "--steps", "3"),
+        ("kraus-check", "--coupling", "1e-320"),
+        ("sweep", "--env-spins", "4", "--coupling", "1e308", "--steps", "3"),
+        ("kraus-check", "--env-spins", "4", "--coupling", "1e308"),
+        ("sweep", "--t-max", "1.7e308", "--steps", "3"),
+        ("kraus-check", "--t", "1.7e308"),
+        ("kraus-check", "--t", "1e300", "--coupling", "1e-10"),
     ],
 )
 def test_bad_input_exits_2_with_a_message(capsys, argv):
     """Non-finite numbers, negative check times, oracle baths past the dense
-    cap, grids past the step ceiling and the removed `sweep --seed` are
-    refused before any work."""
+    cap, grids past the step ceiling, the removed `sweep --seed`, and times
+    or frequencies that overflow are refused before any work."""
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE
     assert out == ""

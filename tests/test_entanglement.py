@@ -117,9 +117,6 @@ def test_concurrence_2q_rejects_wrong_shape():
     rho = random_density(rng, DimsSpec(("A", 2), ("B", 3)))
     with pytest.raises(ValueError, match="qubit"):
         concurrence_2q(rho)
-    pair = random_density(rng, TWO_QUBITS)
-    with pytest.raises(ValueError, match="cut"):
-        concurrence_2q(pair, ("A", "Z"))
 
 
 def test_concurrence_2q_local_unitary_invariance():
@@ -231,7 +228,10 @@ def test_inaccessible_concurrence():
 
 def test_hidden_entanglement_single_member():
     rho = density_from_vec(bell_pair(), TWO_QUBITS)
-    assert hidden_entanglement([EnsembleMember(1.0, rho)], rho) == pytest.approx(0.0, abs=1e-12)
+    c_ens, c_mix, hidden = hidden_entanglement([EnsembleMember(1.0, rho)], rho)
+    assert c_ens == pytest.approx(1.0, abs=1e-12)
+    assert c_mix == pytest.approx(1.0, abs=1e-12)
+    assert hidden == pytest.approx(0.0, abs=1e-12)
 
 
 def test_hidden_entanglement_dephased_bell():
@@ -242,7 +242,7 @@ def test_hidden_entanglement_dephased_bell():
     members = [EnsembleMember(0.5, rho), EnsembleMember(0.5, flipped)]
     mixture = DensityMatrix(0.5 * rho.mat + 0.5 * flipped.mat, TWO_QUBITS)
     assert concurrence_2q(mixture) == 0.0
-    assert hidden_entanglement(members, mixture) == pytest.approx(1.0, abs=1e-12)
+    assert hidden_entanglement(members, mixture) == pytest.approx((1.0, 0.0, 1.0), abs=1e-12)
 
 
 def test_hidden_entanglement_phase_dial_quarter_turn():

@@ -152,10 +152,6 @@ class TestIsMarkov:
         assert not decision.markov
         assert decision.cmi == pytest.approx(W_STATE_CMI, abs=1e-9)
 
-    def test_tolerance_is_adjustable(self):
-        rho = build_initial_state(SpinStarParams())
-        assert is_markov(rho, tol=2.0).markov
-
     def test_cmi_invariant_under_middle_unitary(self):
         rng = np.random.default_rng(36)
         rho = build_initial_state(SpinStarParams())

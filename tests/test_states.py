@@ -61,6 +61,22 @@ def test_density_matrix_is_readonly():
         rho.mat[0, 0] = 1.0
 
 
+def test_density_matrix_keeps_its_spectrum():
+    rho = random_density(np.random.default_rng(4), TWO_QUBITS)
+    expected = np.linalg.eigvalsh((rho.mat + rho.mat.conj().T) / 2.0)
+    assert np.array_equal(rho.eigenvalues, expected)
+    with pytest.raises(ValueError):
+        rho.eigenvalues[0] = 1.0
+
+
+def test_entropy_rejects_eigenvalues_below_floor():
+    # a looser construction floor admits a state that entropies still refuse
+    mat = np.diag([0.5 + 5e-9, 0.5, 0.0, -5e-9]).astype(complex)
+    rho = DensityMatrix(mat, TWO_QUBITS, eig_floor=1e-8)
+    with pytest.raises(ValueError, match="below floor"):
+        von_neumann_entropy(rho)
+
+
 def test_density_matrix_rejects_bad_inputs():
     dims = DimsSpec(("A", 2))
     with pytest.raises(ValueError, match="Hermitian"):
@@ -187,6 +203,21 @@ def test_mutual_information_equal_bell_mixture():
     rho = build_initial_state(SpinStarParams())
     pair = partial_trace(rho, ("A", "B"))
     assert mutual_information(pair, (("A",), ("B",)), base=2) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_mutual_information_solves_only_the_reduced_spectra(monkeypatch):
+    """The pair's own spectrum is the one its construction already solved."""
+    rho = random_density(np.random.default_rng(9), TWO_QUBITS)
+    solves = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    mutual_information(rho, (("A",), ("B",)))
+    assert len(solves) == 2
 
 
 def test_mutual_information_rejects_bad_cuts():
