@@ -57,13 +57,11 @@ from .model import (
     SpinStarParams,
     ZeroDiscordFamily,
     branch_vectors,
-    build_full_hamiltonian,
     build_initial_state,
     build_w_state,
     closed_form_coeffs,
     closed_form_terms,
     concurrence_closed_form,
-    dicke_vector,
     evolve_sector,
     sector_unitary,
     zero_discord_family,
@@ -96,7 +94,7 @@ __all__ = [
     "ZeroDiscordFamily", "zero_discord_family", "build_initial_state",
     "build_w_state", "closed_form_coeffs", "closed_form_terms",
     "concurrence_closed_form", "sector_unitary", "evolve_sector",
-    "build_full_hamiltonian", "dicke_vector", "BruteForceEvolver",
+    "BruteForceEvolver",
     # channels
     "KrausChannel", "extract_kraus", "apply_channel", "choi_matrix",
     "discord_zero_check", "RandomUnitaryChannel", "apply_random_unitary",

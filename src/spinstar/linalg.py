@@ -83,7 +83,8 @@ def check_orthonormal(vectors: Sequence[np.ndarray], what: str) -> None:
 
 
 def _check_square(m: np.ndarray, what: str) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
+    m = np.asarray(m)
+    m = m.astype(np.result_type(m, float), copy=False)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} must be a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -96,7 +97,8 @@ def herm_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(vals, vecs)`` with eigenvalues ascending and eigenvectors as
     the columns of a unitary matrix, so ``vecs @ diag(vals) @ vecs.conj().T``
-    reconstructs the input. Non-square or non-Hermitian input is rejected.
+    reconstructs the input; a real symmetric input gets a real orthogonal
+    matrix. Non-square or non-Hermitian input is rejected.
     """
     m = _check_square(m, "herm_eig input")
     dev = max_abs(m - dagger(m))

@@ -13,6 +13,7 @@ from spinstar.cli import (
     SWEEP_HEADER,
     main,
 )
+from spinstar.model import MAX_BATH_SPINS
 
 
 def run(capsys, *argv):
@@ -66,6 +67,14 @@ class TestSweep:
         )
         assert code == EXIT_OK
         assert out.splitlines()[0] == SWEEP_HEADER
+
+    def test_oracle_long_grid_within_its_phase_bound(self, capsys):
+        code, out, err = run(
+            capsys, "sweep", "--env-spins", "6", "--oracle", "--steps", "50", "--t-max", "1e8"
+        )
+        assert code == EXIT_OK
+        assert err == ""
+        assert len(out.splitlines()) == 51
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"
@@ -220,8 +229,8 @@ class TestHidden:
         ("kraus-check", "--t", "inf"),
         ("kraus-check", "--t", "nan"),
         ("kraus-check", "--t", "-0.5"),
-        ("sweep", "--env-spins", "12", "--oracle"),
-        ("sweep", "--env-spins", "13", "--oracle"),
+        ("sweep", "--env-spins", str(MAX_BATH_SPINS + 1), "--oracle"),
+        ("sweep", "--env-spins", str(MAX_BATH_SPINS + 2), "--oracle"),
         ("sweep", "--steps", "100000000000"),
         ("hidden", "--steps", "100001"),
         ("sweep", "--seed", "5"),
@@ -232,12 +241,15 @@ class TestHidden:
         ("sweep", "--t-max", "1.7e308", "--steps", "3"),
         ("kraus-check", "--t", "1.7e308"),
         ("kraus-check", "--t", "1e300", "--coupling", "1e-10"),
+        ("sweep", "--env-spins", "6", "--oracle", "--steps", "50", "--t-max", "1e10"),
+        ("sweep", "--env-spins", "1" + "0" * 400, "--steps", "3"),
     ],
 )
 def test_bad_input_exits_2_with_a_message(capsys, argv):
-    """Non-finite numbers, negative check times, oracle baths past the dense
-    cap, grids past the step ceiling, the removed `sweep --seed`, and times
-    or frequencies that overflow are refused before any work."""
+    """Non-finite numbers, negative check times, oracle baths past the cap,
+    grids past the step ceiling, the removed `sweep --seed`, times or
+    frequencies that overflow, baths too large for a float, and oracle grids
+    past the reach of its eigenphases are refused before any work."""
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE
     assert out == ""

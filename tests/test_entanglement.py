@@ -22,7 +22,15 @@ from spinstar import (
     spin_flip_coefficients,
 )
 from spinstar.linalg import SIGMA_Y, SIGMA_Z, haar_unitary, tensor
-from spinstar.model import branch_vectors, build_w_state
+from spinstar.model import (
+    branch_vectors,
+    build_initial_state,
+    build_w_state,
+    closed_form_coeffs,
+    concurrence_closed_form,
+    evolve_sector,
+)
+from spinstar.states import partial_trace
 
 AB_CUT = (("A",), ("B",))
 
@@ -260,3 +268,28 @@ def test_hidden_entanglement_rejects_mismatched_mixture():
     other = DensityMatrix(np.eye(4) / 4.0, TWO_QUBITS)
     with pytest.raises(ValueError, match="deviates"):
         hidden_entanglement([EnsembleMember(1.0, rho)], other)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="spin_flip_coefficients drops an eigenvalue of 4e-13 below RANK_TOL "
+    "whose amplitude still moves the concurrence by 6.9e-7",
+)
+def test_concurrence_near_rank_tol_matches_closed_form():
+    """Row 1449 of `sweep --env-spins 22 --coupling 0.26545131498013425
+    --p 0.06133020252109078 --alpha 3.946241240839475 --beta 0.7853981633974483
+    --t-max 69.3891894634337 --steps 1500`, computed the way the sweep does."""
+    params = SpinStarParams(
+        env_spins=22,
+        coupling=0.26545131498013425,
+        p=0.06133020252109078,
+        alpha=3.946241240839475,
+        beta=0.7853981633974483,
+    )
+    omega_t = float(np.linspace(0.0, 69.3891894634337, 1500)[1449])
+    t = omega_t / params.omega
+    pair = partial_trace(evolve_sector(build_initial_state(params), t, params), ("A", "B"))
+    assert omega_t == pytest.approx(67.0747, abs=1e-4)
+    assert 0.0 < pair.eigenvalues[0] <= 1e-12
+    c_closed = concurrence_closed_form(closed_form_coeffs(params), t)
+    assert abs(concurrence_2q(pair) - c_closed) <= 1e-12

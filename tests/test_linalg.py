@@ -118,6 +118,16 @@ def test_herm_eig_trace_and_determinant():
         assert abs(np.prod(vals) - np.linalg.det(m).real) <= 1e-8
 
 
+def test_herm_eig_keeps_a_real_symmetric_input_real():
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((6, 6))
+    m = m + m.T
+    vals, vecs = herm_eig(m)
+    assert vecs.dtype == np.float64
+    assert max_abs(vecs @ np.diag(vals) @ vecs.T - m) <= 1e-12
+    assert max_abs(vecs.T @ vecs - np.eye(6)) <= 1e-12
+
+
 def test_herm_eig_rejects_non_square():
     with pytest.raises(ValueError, match="square"):
         herm_eig(np.ones((2, 3)))

@@ -14,7 +14,6 @@ from spinstar import (
     DimsSpec,
     SpinStarParams,
     branch_vectors,
-    build_full_hamiltonian,
     build_initial_state,
     build_w_state,
     closed_form_coeffs,
@@ -22,14 +21,13 @@ from spinstar import (
     concurrence_2q,
     concurrence_closed_form,
     concurrence_pure,
-    dicke_vector,
     evolve_sector,
     mutual_information,
     partial_trace,
     sector_unitary,
 )
 from spinstar.linalg import SIGMA_PLUS, dagger, identity, tensor
-from spinstar.model import ENV_LEVELS, PAIR_ENV_DIMS, ZeroDiscordFamily
+from spinstar.model import ENV_LEVELS, MAX_BATH_SPINS, PAIR_ENV_DIMS, ZeroDiscordFamily
 from test_acceptance import GRID, PAIR_CUT, WINDOW_7
 
 # frozen against scipy.optimize.minimize_scalar on the closed form at the
@@ -296,79 +294,86 @@ class TestEvolveSector:
             assert np.max(np.abs(after - before)) <= 1e-12
 
 
+def _bit_index(evolver, *set_bits):
+    """Position in the oracle's basis of the (B, bath) string with these bits."""
+    return int(np.searchsorted(evolver.basis, sum(1 << b for b in set_bits)))
+
+
+def _dense_reduced_pair(params, t):
+    """Reference: the pair state from the dense 2^(N+1) flip-flop generator."""
+    n = params.env_spins
+    raise_all = sum(
+        tensor(identity(2**i), SIGMA_PLUS, identity(2 ** (n - 1 - i))) for i in range(n)
+    )
+    h = params.coupling * (
+        np.kron(SIGMA_PLUS, dagger(raise_all)) + np.kron(dagger(SIGMA_PLUS), raise_all)
+    )
+    vals, vecs = np.linalg.eigh(h)
+    u = vecs @ np.diag(np.exp(-1j * vals * t)) @ dagger(vecs)
+    one_excitation = np.zeros(2**n)
+    one_excitation[[1 << i for i in range(n)]] = 1.0 / math.sqrt(n)
+    vacuum = np.zeros(2**n)
+    vacuum[0] = 1.0
+    psi1, psi2 = branch_vectors(params.alpha, params.beta)
+    rho = np.zeros((4, 4), dtype=complex)
+    branches = ((params.p, np.kron(psi1, one_excitation)), (1.0 - params.p, np.kron(psi2, vacuum)))
+    for weight, psi in branches:
+        m = (np.kron(identity(2), u) @ psi).reshape(4, 2**n)
+        rho += weight * (m @ dagger(m))
+    return rho
+
+
 class TestFullHamiltonian:
+    """The oracle's flip-flop generator on the (B, bath) bit strings with at
+    most two excitations; qubit B is bit N, above the N bath-spin bits."""
+
     def test_single_spin_matrix_element(self):
-        h = build_full_hamiltonian(1, 1.4)
-        # <1_B, 0 | H | 0_B, 1> couples the two single-excitation states
-        assert h[2, 1] == pytest.approx(1.4)
-        np.testing.assert_allclose(h, dagger(h), atol=1e-15)
+        evolver = BruteForceEvolver(default_params(env_spins=2, coupling=1.4))
+        h = evolver.generator
+        # <1_B, 00 | H | 0_B, 10> couples two single-excitation states
+        assert h[_bit_index(evolver, 2), _bit_index(evolver, 1)] == pytest.approx(1.4)
+        np.testing.assert_array_equal(h, dagger(h))
 
     def test_two_spin_spectrum_contains_collective_frequency(self):
-        h = build_full_hamiltonian(2, 1.3)
-        vals = np.linalg.eigvalsh(h)
+        evolver = BruteForceEvolver(default_params(env_spins=2, coupling=1.3))
         target = 1.3 * math.sqrt(2.0)
-        assert np.min(np.abs(vals - target)) <= 1e-12
-        assert np.min(np.abs(vals + target)) <= 1e-12
+        assert np.min(np.abs(evolver.eigenvalues - target)) <= 1e-12
+        assert np.min(np.abs(evolver.eigenvalues + target)) <= 1e-12
 
     def test_collective_matrix_element_grows_as_sqrt_n(self):
         g = 0.9
-        h = build_full_hamiltonian(4, g)
-        e0 = np.zeros(2)
-        e0[0] = 1.0
-        e1 = np.zeros(2)
-        e1[1] = 1.0
-        bra = np.kron(e1, dicke_vector(4, 0))
-        ket = np.kron(e0, dicke_vector(4, 1))
-        assert np.vdot(bra, h @ ket) == pytest.approx(g * 2.0, abs=1e-12)
+        evolver = BruteForceEvolver(default_params(env_spins=4, coupling=g))
+        bra = np.zeros(evolver.basis.size)
+        bra[_bit_index(evolver, 4)] = 1.0  # |1_B, 0000>
+        ket = np.zeros(evolver.basis.size)
+        ket[[_bit_index(evolver, i) for i in range(4)]] = 0.5  # |0_B, Dicke 1>
+        assert bra @ evolver.generator @ ket == pytest.approx(g * 2.0, abs=1e-12)
 
     def test_conserves_total_excitation(self):
-        n_spins = 3
-        excited = np.diag([0.0, 1.0])
-        number_op = np.kron(excited, identity(2**n_spins))
-        for i in range(n_spins):
-            number_op += np.kron(
-                identity(2),
-                tensor(identity(2**i), excited, identity(2 ** (n_spins - 1 - i))),
-            )
-        h = build_full_hamiltonian(n_spins, 1.1)
-        comm = h @ number_op - number_op @ h
-        assert np.max(np.abs(comm)) <= 1e-10
+        evolver = BruteForceEvolver(default_params(env_spins=5, coupling=1.1))
+        rows, cols = np.nonzero(evolver.generator)
+        excitations = np.array([int(s).bit_count() for s in evolver.basis])
+        np.testing.assert_array_equal(excitations[rows], excitations[cols])
+        # every coupling moves one excitation between B and one bath spin
+        moved = evolver.basis[rows] ^ evolver.basis[cols]
+        assert np.all((moved & (1 << 5)) != 0)
+        assert all(int(s).bit_count() == 2 for s in moved)
+
+    def test_basis_holds_the_strings_with_at_most_two_excitations(self):
+        for n_spins in (2, 10, 20):
+            evolver = BruteForceEvolver(default_params(env_spins=n_spins))
+            assert evolver.basis.size == 1 + (n_spins + 1) + math.comb(n_spins + 1, 2)
+            assert np.all(np.diff(evolver.basis) > 0)
+            assert all(int(s).bit_count() <= 2 for s in evolver.basis)
+            assert evolver.basis[-1] < 2 ** (n_spins + 1)
 
     def test_rejects_out_of_range_sizes(self):
-        with pytest.raises(ValueError, match="n_spins"):
-            build_full_hamiltonian(0, 1.0)
-        for n_spins in (12, 13):
-            with pytest.raises(ValueError, match="n_spins"):
-                build_full_hamiltonian(n_spins, 1.0)
-
-
-class TestDickeVector:
-    def test_normalized(self):
-        for n, k in ((2, 1), (4, 2), (5, 0), (6, 6)):
-            assert np.linalg.norm(dicke_vector(n, k)) == pytest.approx(1.0)
-
-    def test_uniform_amplitudes(self):
-        vec = dicke_vector(4, 2)
-        support = np.flatnonzero(vec)
-        assert support.size == 6
-        np.testing.assert_allclose(vec[support], 1.0 / math.sqrt(6.0), atol=1e-15)
-
-    def test_matches_collective_raising_construction(self):
-        n_spins = 4
-        raise_all = np.zeros((2**n_spins, 2**n_spins), dtype=complex)
-        for i in range(n_spins):
-            raise_all += tensor(identity(2**i), SIGMA_PLUS, identity(2 ** (n_spins - 1 - i)))
-        vacuum = np.zeros(2**n_spins, dtype=complex)
-        vacuum[0] = 1.0
-        raised = raise_all @ raise_all @ vacuum
-        raised = raised / np.linalg.norm(raised)
-        np.testing.assert_allclose(raised, dicke_vector(n_spins, 2), atol=1e-12)
-
-    def test_rejects_bad_excitation_count(self):
-        with pytest.raises(ValueError, match="excitation count"):
-            dicke_vector(4, 5)
-        with pytest.raises(ValueError, match="excitation count"):
-            dicke_vector(4, -1)
+        for n_spins in (1, 10**400):
+            with pytest.raises(ValueError, match="env_spins"):
+                default_params(env_spins=n_spins)
+        for n_spins in (MAX_BATH_SPINS + 1, MAX_BATH_SPINS + 2):
+            with pytest.raises(ValueError, match="cap"):
+                BruteForceEvolver(default_params(env_spins=n_spins))
 
 
 class TestBruteForceEvolver:
@@ -407,6 +412,25 @@ class TestBruteForceEvolver:
                 evolve_sector(rho0, float(t), params), ("A", "B")
             ).mat
             assert np.max(np.abs(dense - laddered)) <= 1e-9
+
+    @pytest.mark.parametrize("n_spins", [2, 3, 5])
+    def test_matches_dense_full_space_evolution(self, n_spins):
+        """Dropping the strings with three or more excitations loses nothing."""
+        params = default_params(env_spins=n_spins, p=0.3, alpha=2.2, beta=0.4, coupling=0.8)
+        evolver = BruteForceEvolver(params)
+        for t in np.linspace(0.0, 9.0, 7):
+            dense = _dense_reduced_pair(params, float(t))
+            assert np.max(np.abs(evolver.reduced_state(float(t)).mat - dense)) <= 1e-13
+
+    @pytest.mark.parametrize("n_spins", [12, MAX_BATH_SPINS])
+    def test_closed_form_agreement_on_large_baths(self, n_spins):
+        params = default_params(env_spins=n_spins, p=0.4, alpha=0.6, beta=1.3)
+        coeffs = closed_form_coeffs(params)
+        evolver = BruteForceEvolver(params)
+        for omega_t in np.linspace(0.0, 30.0, 60):
+            t = float(omega_t) / params.omega
+            numeric = concurrence_2q(evolver.reduced_state(t))
+            assert abs(concurrence_closed_form(coeffs, t) - numeric) <= 1e-12
 
     def test_concurrence_tracks_closed_form(self):
         params = default_params(env_spins=6)
