@@ -23,7 +23,7 @@ import numpy as np
 from .entanglement import EnsembleMember, concurrence_2q, hidden_entanglement
 from .linalg import check_orthonormal, dagger, identity, max_abs
 from .model import SpinStarParams, ZeroDiscordFamily, sector_unitary
-from .states import DensityMatrix, check_probabilities, conjugate_local
+from .states import DensityMatrix, check_probabilities, check_two_qubit, conjugate_local
 
 __all__ = [
     "KrausChannel",
@@ -173,8 +173,7 @@ class RandomUnitaryChannel:
 
 def apply_random_unitary(channel: RandomUnitaryChannel, rho: DensityMatrix) -> DensityMatrix:
     """Mix the branch unitaries over the second factor of a two-qubit state."""
-    if len(rho.dims) != 2 or rho.dims.dims != (2, 2):
-        raise ValueError(f"need a two-qubit state, got {rho.dims!r}")
+    check_two_qubit(rho, "state")
     out = np.zeros_like(rho.mat)
     for p, u in zip(channel.probabilities, channel.unitaries):
         out = out + p * conjugate_local(rho, u).mat
@@ -202,8 +201,7 @@ def ruc_trajectory(
     initial concurrence within 1e-9, because each branch evolves by a local
     unitary; drift beyond that indicates numerical corruption and raises.
     """
-    if len(rho0.dims) != 2 or rho0.dims.dims != (2, 2):
-        raise ValueError(f"need a two-qubit initial state, got {rho0.dims!r}")
+    check_two_qubit(rho0, "initial state")
     c0 = concurrence_2q(rho0)
     samples = []
     for t in t_grid:

@@ -66,10 +66,13 @@ def finite_float(text: str) -> float:
     return value
 
 
-def _add_model_flags(parser: argparse.ArgumentParser) -> None:
+def _add_state_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--p", type=finite_float, default=0.5, help="mixing probability of branch one")
     parser.add_argument("--alpha", type=finite_float, default=math.pi / 4, help="branch-one angle")
     parser.add_argument("--beta", type=finite_float, default=math.pi / 4, help="branch-two angle")
+
+
+def _add_bath_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--env-spins", type=int, default=None, metavar="N", help="finite bath size")
     parser.add_argument("--large-n", action="store_true", help="infinite-bath frequency ladder")
     parser.add_argument("--coupling", type=finite_float, default=1.0, help="per-spin coupling g")
@@ -90,7 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep = sub.add_parser("sweep", help="trajectory CSV over an omega*t grid")
-    _add_model_flags(sweep)
+    _add_state_flags(sweep)
+    _add_bath_flags(sweep)
     _add_grid_flags(sweep)
     sweep.add_argument("--log-base", choices=sorted(_LOG_BASES), default="10")
     sweep.add_argument(
@@ -102,12 +106,13 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--svg", metavar="PATH", default=None, help="write a static plot")
 
     kraus = sub.add_parser("kraus-check", help="operator-sum extraction consistency report")
-    _add_model_flags(kraus)
+    _add_state_flags(kraus)
+    _add_bath_flags(kraus)
     kraus.add_argument("--t", type=finite_float, default=None, help="single check time in omega*t")
     kraus.add_argument("--seed", type=int, default=0)
 
     markov = sub.add_parser("markov-check", help="Markov structure report for a scenario")
-    _add_model_flags(markov)
+    _add_state_flags(markov)
     markov.add_argument(
         "--scenario",
         choices=("eq-mixture", "w-state", "factorized", "custom-markov"),
@@ -272,17 +277,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 _fmt(v) for v in (omega_t, c_closed, c_numeric, mi, c_abe, c_inaccessible)
             )
         )
-    _emit(rows, args.output)
-    if args.svg is not None:
-        _write_svg(
-            args.svg,
-            grid,
-            [
-                ("pair concurrence", "", np.array(c_numeric_series)),
-                ("mutual information", "8 4", np.array(mi_series)),
-                ("whole-cut concurrence", "2 3", np.full(len(grid), c_abe)),
-            ],
-        )
+    try:
+        _emit(rows, args.output)
+        if args.svg is not None:
+            _write_svg(
+                args.svg,
+                grid,
+                [
+                    ("pair concurrence", "", np.array(c_numeric_series)),
+                    ("mutual information", "8 4", np.array(mi_series)),
+                    ("whole-cut concurrence", "2 3", np.full(len(grid), c_abe)),
+                ],
+            )
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_OK
 
 
@@ -291,6 +300,8 @@ def _cmd_kraus_check(args: argparse.Namespace) -> int:
         params = _params_from(args)
         if args.t is not None and args.t < 0.0:
             raise ValueError(f"--t must be non-negative, got {args.t}")
+        if args.seed < 0:
+            raise ValueError(f"--seed must be non-negative, got {args.seed}")
         # the Kraus propagator has one bath level beyond the flags
         _check_angles(params, 4.0 * math.pi if args.t is None else args.t, ENV_LEVELS - 1)
     except ValueError as exc:
@@ -351,7 +362,7 @@ def _markov_scenario(name: str, params: SpinStarParams) -> tuple[DensityMatrix, 
 
 def _cmd_markov_check(args: argparse.Namespace) -> int:
     try:
-        params = _params_from(args)
+        params = SpinStarParams(p=args.p, alpha=args.alpha, beta=args.beta)
         rho, expect_markov = _markov_scenario(args.scenario, params)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -399,7 +410,11 @@ def _cmd_hidden(args: argparse.Namespace) -> int:
                 for v in (omega_t, s.mixture_concurrence, s.ensemble_concurrence, s.hidden)
             )
         )
-    _emit(rows, args.output)
+    try:
+        _emit(rows, args.output)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_OK
 
 

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Union
 import numpy as np
 
 from .linalg import SIGMA_Y, dagger, herm_eig, max_abs, tensor
-from .states import Cut, DensityMatrix, PureState, check_probabilities, split_cut
+from .states import Cut, DensityMatrix, PureState, check_probabilities, check_two_qubit, split_cut
 
 if TYPE_CHECKING:
     from .model import SpinStarParams
@@ -99,8 +99,7 @@ def concurrence_2q(rho: DensityMatrix) -> float:
     The state must consist of exactly two dimension-2 factors; anything else
     must be traced out first.
     """
-    if len(rho.dims) != 2 or rho.dims.dims != (2, 2):
-        raise ValueError(f"need exactly two qubit factors, got {rho.dims!r}")
+    check_two_qubit(rho, "state")
     lams = spin_flip_coefficients(rho)
     return max(0.0, float(lams[0] - lams[1] - lams[2] - lams[3]))
 
@@ -176,8 +175,7 @@ def hidden_entanglement(
     rho_mix within 1e-9 in the max-entry norm.  Convexity of the concurrence
     keeps the gap non-negative up to rounding.
     """
-    if len(rho_mix.dims) != 2 or rho_mix.dims.dims != (2, 2):
-        raise ValueError(f"mixture must be a two-qubit state, got {rho_mix.dims!r}")
+    check_two_qubit(rho_mix, "mixture")
     c_ens = ensemble_concurrence(members, tuple((lab,) for lab in rho_mix.dims.labels))
     mixture = np.zeros_like(rho_mix.mat)
     for m in members:

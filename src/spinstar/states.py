@@ -9,8 +9,8 @@ original order; there is no implicit reordering.
 from __future__ import annotations
 
 import math
-import string
 from collections.abc import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +21,7 @@ __all__ = [
     "DensityMatrix",
     "PureState",
     "check_probabilities",
+    "check_two_qubit",
     "split_cut",
     "conjugate_local",
     "partial_trace",
@@ -58,66 +59,44 @@ def check_probabilities(weights: Iterable[float], what: str) -> tuple[float, ...
     return probs
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class DimsSpec:
     """Ordered (label, dimension) factors of a tensor-product space."""
 
-    __slots__ = ("_factors",)
+    labels: tuple[str, ...]
+    dims: tuple[int, ...]
+    total_dim: int
 
     def __init__(self, *factors: tuple[str, int]):
         if not factors:
             raise ValueError("at least one tensor factor is required")
-        normalized = []
-        for lab, dim in factors:
-            lab = str(lab)
-            dim = int(dim)
+        labels, dims = zip(*((str(lab), int(dim)) for lab, dim in factors))
+        for lab, dim in zip(labels, dims):
             if dim < 1:
                 raise ValueError(f"factor {lab!r} has non-positive dimension {dim}")
-            normalized.append((lab, dim))
-        labels = [lab for lab, _ in normalized]
         if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate factor labels in {labels}")
-        self._factors = tuple(normalized)
-
-    @property
-    def factors(self) -> tuple[tuple[str, int], ...]:
-        return self._factors
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(lab for lab, _ in self._factors)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(dim for _, dim in self._factors)
-
-    @property
-    def total_dim(self) -> int:
-        return math.prod(self.dims)
-
-    def dim_of(self, label: str) -> int:
-        return self._factors[self.position(label)][1]
+            raise ValueError(f"duplicate factor labels in {list(labels)}")
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "total_dim", math.prod(dims))
 
     def position(self, label: str) -> int:
-        for i, (lab, _) in enumerate(self._factors):
-            if lab == label:
-                return i
-        raise ValueError(f"unknown factor label {label!r}; have {list(self.labels)}")
+        if label not in self.labels:
+            raise ValueError(f"unknown factor label {label!r}; have {list(self.labels)}")
+        return self.labels.index(label)
 
     def __len__(self) -> int:
-        return len(self._factors)
-
-    def __iter__(self):
-        return iter(self._factors)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DimsSpec) and self._factors == other._factors
-
-    def __hash__(self) -> int:
-        return hash(self._factors)
+        return len(self.labels)
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{lab}:{dim}" for lab, dim in self._factors)
+        inner = ", ".join(f"{lab}:{dim}" for lab, dim in zip(self.labels, self.dims))
         return f"DimsSpec({inner})"
+
+
+def check_two_qubit(rho: DensityMatrix, what: str) -> None:
+    """Refuse a `what` whose factors are not exactly two qubits."""
+    if rho.dims.dims != (2, 2):
+        raise ValueError(f"need a two-qubit {what}, got {rho.dims!r}")
 
 
 class DensityMatrix:
@@ -139,8 +118,6 @@ class DensityMatrix:
         trace_tol: float = 1e-10,
         eig_floor: float = 1e-9,
     ):
-        if not isinstance(dims, DimsSpec):
-            dims = DimsSpec(*dims)
         arr = np.array(mat, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {arr.shape}")
@@ -185,8 +162,6 @@ class PureState:
     __slots__ = ("vec", "dims")
 
     def __init__(self, vec: np.ndarray, dims: DimsSpec):
-        if not isinstance(dims, DimsSpec):
-            dims = DimsSpec(*dims)
         arr = np.array(vec, dtype=complex).reshape(-1)
         if arr.size != dims.total_dim:
             raise ValueError(
@@ -209,16 +184,23 @@ class PureState:
         return f"PureState(dim={self.vec.size}, dims={self.dims!r})"
 
 
+def _label_group(dims: DimsSpec, labels: Iterable[str]) -> tuple[str, ...]:
+    group = tuple(labels)
+    if not group:
+        raise ValueError("label group must be non-empty")
+    if len(set(group)) != len(group):
+        raise ValueError(f"repeated labels in group {group}")
+    for lab in group:
+        dims.position(lab)  # raises on unknown label
+    return group
+
+
 def split_cut(dims: DimsSpec, cut: Cut) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """The two label groups of a bipartition (X, Y) of all factors in `dims`."""
-    x_group = tuple(cut[0])
-    y_group = tuple(cut[1])
-    if not x_group or not y_group:
-        raise ValueError("both sides of the cut must be non-empty")
-    seen = x_group + y_group
-    if len(set(seen)) != len(seen):
-        raise ValueError(f"cut groups overlap or repeat labels: {x_group} vs {y_group}")
-    if set(seen) != set(dims.labels):
+    x_group, y_group = _label_group(dims, cut[0]), _label_group(dims, cut[1])
+    if set(x_group) & set(y_group):
+        raise ValueError(f"cut groups overlap: {x_group} vs {y_group}")
+    if len(x_group) + len(y_group) != len(dims):
         raise ValueError(
             f"cut {x_group} vs {y_group} does not partition factors {list(dims.labels)}"
         )
@@ -231,34 +213,21 @@ def conjugate_local(rho: DensityMatrix, u: np.ndarray) -> DensityMatrix:
     return DensityMatrix(full @ rho.mat @ dagger(full), rho.dims)
 
 
-def _label_group(dims: DimsSpec, labels: Iterable[str]) -> tuple[str, ...]:
-    group = tuple(labels)
-    if not group:
-        raise ValueError("label group must be non-empty")
-    if len(set(group)) != len(group):
-        raise ValueError(f"repeated labels in group {group}")
-    for lab in group:
-        dims.position(lab)  # raises on unknown label
-    return group
-
-
 def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
     """Trace out every factor not listed in `keep`.
 
     Kept factors preserve their original order regardless of the order given.
     """
-    keep_set = set(_label_group(rho.dims, keep))
-    kept = [(lab, dim) for lab, dim in rho.dims if lab in keep_set]
-    n = len(rho.dims)
-    tensor_form = rho.mat.reshape(rho.dims.dims + rho.dims.dims)
-    letters = iter(string.ascii_lowercase)
-    bra = [next(letters) for _ in range(n)]
-    ket = [bra[i] if rho.dims.labels[i] not in keep_set else next(letters) for i in range(n)]
-    out = [bra[i] for i in range(n) if rho.dims.labels[i] in keep_set]
-    out += [ket[i] for i in range(n) if rho.dims.labels[i] in keep_set]
-    reduced = np.einsum("".join(bra + ket) + "->" + "".join(out), tensor_form)
-    d = math.prod(dim for _, dim in kept)
-    return DensityMatrix(reduced.reshape(d, d), DimsSpec(*kept))
+    dims = rho.dims
+    keep_set = set(_label_group(dims, keep))
+    kept = [i for i, lab in enumerate(dims.labels) if lab in keep_set]
+    n = len(dims)
+    # bra axis i pairs with ket axis n + i; a traced factor reuses i for both
+    ket = [n + i if i in kept else i for i in range(n)]
+    out = kept + [n + i for i in kept]
+    reduced = np.einsum(rho.mat.reshape(dims.dims * 2), [*range(n), *ket], out)
+    sub = DimsSpec(*((dims.labels[i], dims.dims[i]) for i in kept))
+    return DensityMatrix(reduced.reshape(sub.total_dim, sub.total_dim), sub)
 
 
 def _check_base(base: float) -> float:

@@ -243,17 +243,30 @@ class TestHidden:
         ("kraus-check", "--t", "1e300", "--coupling", "1e-10"),
         ("sweep", "--env-spins", "6", "--oracle", "--steps", "50", "--t-max", "1e10"),
         ("sweep", "--env-spins", "1" + "0" * 400, "--steps", "3"),
+        ("kraus-check", "--seed", "-1"),
+        ("markov-check", "--env-spins", "7"),
+        ("markov-check", "--large-n"),
+        ("markov-check", "--coupling", "5"),
     ],
 )
 def test_bad_input_exits_2_with_a_message(capsys, argv):
-    """Non-finite numbers, negative check times, oracle baths past the cap,
-    grids past the step ceiling, the removed `sweep --seed`, times or
-    frequencies that overflow, baths too large for a float, and oracle grids
-    past the reach of its eigenphases are refused before any work."""
+    """Non-finite numbers, negative check times and seeds, oracle baths past
+    the cap, grids past the step ceiling, the removed `sweep --seed` and
+    `markov-check` bath flags, times or frequencies that overflow, baths too
+    large for a float, and oracle grids past the reach of its eigenphases are
+    refused before any work."""
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE
     assert out == ""
     assert "error" in err
+
+
+@pytest.mark.parametrize("argv", [("sweep", "--output"), ("hidden", "--output"), ("sweep", "--svg")])
+def test_unwritable_output_exits_2_with_a_message(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "out"
+    code, _, err = run(capsys, *argv, str(target), "--steps", "2")
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and str(target) in err
 
 
 class TestTopLevel:
