@@ -20,7 +20,14 @@ from .channels import (
     ruc_trajectory,
 )
 from .entanglement import concurrence_2q, concurrence_a_be, inaccessible_concurrence
-from .markov import MarkovBlock, MarkovBlockSpec, is_markov, make_markov_state, markov_necessary_witnesses
+from .markov import (
+    CMI_TOL,
+    MarkovBlock,
+    MarkovBlockSpec,
+    is_markov,
+    make_markov_state,
+    markov_necessary_witnesses,
+)
 from .model import (
     ENV_LEVELS,
     LARGE_N,
@@ -250,16 +257,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     coeffs = closed_form_coeffs(params)
     rho0 = build_initial_state(params)
     c_abe = concurrence_a_be(params)
-    pair_labels = rho0.dims.labels[:2]
     rows = [SWEEP_HEADER]
     c_numeric_series, mi_series = [], []
     for omega_t in grid:
         t = omega_t / params.omega
         c_closed = concurrence_closed_form(coeffs, t)
-        if evolver is not None:
-            rho_pair = evolver.reduced_state(t)
-        else:
-            rho_pair = partial_trace(evolve_sector(rho0, t, params), pair_labels)
+        rho_pair = evolver.reduced_state(t) if evolver is not None else evolve_sector(rho0, t, params)
         c_numeric = concurrence_2q(rho_pair)
         if abs(c_closed - c_numeric) > SWEEP_CONSISTENCY_TOL:
             print(
@@ -268,7 +271,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return EXIT_CHECK
-        mi = mutual_information(rho_pair, ((pair_labels[0],), (pair_labels[1],)), base)
+        mi = mutual_information(rho_pair, (("A",), ("B",)), base)
         c_inaccessible = inaccessible_concurrence(c_abe, c_numeric)
         c_numeric_series.append(c_numeric)
         mi_series.append(mi)
@@ -314,8 +317,7 @@ def _cmd_kraus_check(args: argparse.Namespace) -> int:
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed)))
         omega_times = sorted(rng.uniform(0.0, 4.0 * math.pi, size=10).tolist())
     mixture = family.mixture(levels=family.flag_dim + 1)
-    pair_labels = mixture.dims.labels[:2]
-    rho0 = partial_trace(mixture, pair_labels)
+    rho0 = partial_trace(mixture, mixture.dims.labels[:2])
     worst_residual = 0.0
     worst_choi = 0.0
     worst_dev = 0.0
@@ -326,7 +328,7 @@ def _cmd_kraus_check(args: argparse.Namespace) -> int:
         choi_min = float(np.linalg.eigvalsh(choi_matrix(channel))[0])
         worst_choi = min(worst_choi, choi_min)
         via_channel = apply_channel(channel, rho0)
-        via_evolution = partial_trace(evolve_sector(mixture, t, params), pair_labels)
+        via_evolution = evolve_sector(mixture, t, params)
         worst_dev = max(worst_dev, float(np.max(np.abs(via_channel.mat - via_evolution.mat))))
     print("times (omega*t): " + " ".join(_fmt(v) for v in omega_times))
     print(f"completeness residual (max): {worst_residual:.3e}  [tol 1e-09]")
@@ -337,9 +339,31 @@ def _cmd_kraus_check(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_CHECK
 
 
+def _binary_entropy(x: float) -> float:
+    if x <= 0.0 or x >= 1.0:
+        return 0.0
+    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+
+
+def _flagged_mixture_cmi(params: SpinStarParams) -> float:
+    """I(A:E|B) of the flagged mixture in bits, from its branch structure.
+
+    The branches are pure with orthogonal flags, so S(AB) = S(ABE) = H(p),
+    S(BE) adds each branch's qubit-B entropy, and S(B) is the entropy of
+    qubit B's |0> population p cos^2(alpha) + (1 - p) sin^2(beta).
+    """
+    p, x, y = params.p, math.cos(params.alpha) ** 2, math.sin(params.beta) ** 2
+    return (
+        _binary_entropy(p)
+        + p * _binary_entropy(x)
+        + (1.0 - p) * _binary_entropy(y)
+        - _binary_entropy(p * x + (1.0 - p) * y)
+    )
+
+
 def _markov_scenario(name: str, params: SpinStarParams) -> tuple[DensityMatrix, bool]:
     if name == "eq-mixture":
-        return build_initial_state(params), False
+        return build_initial_state(params), _flagged_mixture_cmi(params) <= CMI_TOL
     if name == "w-state":
         amp = 1.0 / math.sqrt(3.0)
         return build_w_state(amp, amp, amp).to_density(), False

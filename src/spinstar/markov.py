@@ -167,15 +167,7 @@ def markov_necessary_witnesses(rho: DensityMatrix) -> WitnessResult:
 
 def concurrence_after_env_unitary(rho: DensityMatrix, u_be: np.ndarray) -> float:
     """Pair concurrence after a unitary on (B, E), qubit A untouched."""
-    if len(rho.dims) != 3 or rho.dims.dims[0] != 2 or rho.dims.dims[1] != 2:
-        raise ValueError(f"need factors (qubit, qubit, bath), got {rho.dims!r}")
-    u_be = np.asarray(u_be, dtype=complex)
-    expected = rho.dim // 2
-    if u_be.shape != (expected, expected):
-        raise ValueError(f"unitary must be {expected}x{expected}, got {u_be.shape}")
-    evolved = conjugate_local(rho, u_be)
-    labels = rho.dims.labels
-    return concurrence_2q(partial_trace(evolved, labels[:2]))
+    return concurrence_2q(conjugate_local(rho, u_be))
 
 
 @dataclass(frozen=True)

@@ -334,7 +334,7 @@ def sector_unitary(params: SpinStarParams, t: float, levels: int = ENV_LEVELS) -
 
 
 def evolve_sector(state: DensityMatrix, t: float, params: SpinStarParams) -> DensityMatrix:
-    """Evolve a state on (A, B, bath ladder) for time t, qubit A untouched.
+    """The (A, B) pair after evolving (A, B, bath ladder) for time t, A untouched.
 
     The state must have no population on the inert top rung |1_B, top>,
     otherwise amplitude would leak past the truncation and the sector

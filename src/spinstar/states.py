@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HERM_TOL, dagger, identity, max_abs
+from .linalg import HERM_TOL, dagger, max_abs
 
 __all__ = [
     "DimsSpec",
@@ -208,9 +208,22 @@ def split_cut(dims: DimsSpec, cut: Cut) -> tuple[tuple[str, ...], tuple[str, ...
 
 
 def conjugate_local(rho: DensityMatrix, u: np.ndarray) -> DensityMatrix:
-    """(I x u) rho (I x u)^dagger, with u acting on the trailing factors."""
-    full = np.kron(identity(rho.dim // u.shape[0]), u)
-    return DensityMatrix(full @ rho.mat @ dagger(full), rho.dims)
+    """The (A, B) pair of (I_A x u) rho (I_A x u)^dagger.
+
+    rho starts with qubits A and B; u acts on B and all later factors, which are traced out.
+    """
+    if rho.dims.dims[:2] != (2, 2):
+        raise ValueError(f"need qubit A and qubit B as the first two factors, got {rho.dims!r}")
+    half = rho.dim // 2
+    if np.shape(u) != (half, half):
+        raise ValueError(f"unitary must be {half}x{half}, got {np.shape(u)}")
+    full = np.zeros((rho.dim, rho.dim), dtype=complex)
+    full[:half, :half] = full[half:, half:] = u  # I_A x u, without a kron
+    mat = full @ rho.mat @ dagger(full)
+    if len(rho.dims) == 2:
+        return DensityMatrix(mat, rho.dims)
+    pair = np.einsum(mat.reshape(4, half // 2, 4, half // 2), [0, 2, 1, 2], [0, 1])
+    return DensityMatrix(pair, DimsSpec(*zip(rho.dims.labels, (2, 2))))
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:

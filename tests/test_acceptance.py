@@ -113,7 +113,7 @@ def test_exceedance_with_classical_correlation_only(capfd):
     c0 = concurrence_closed_form(coeffs, 0.0)
     cs = np.array([concurrence_closed_form(coeffs, float(t)) for t in GRID])
     best = int(np.argmax(cs))
-    pair = partial_trace(evolve_sector(rho0, float(GRID[best]), params), ("A", "B"))
+    pair = evolve_sector(rho0, float(GRID[best]), params)
     c_numeric = concurrence_2q(pair)
     ok = (
         discord <= 1e-10
@@ -156,8 +156,7 @@ def test_extracted_channel_is_completely_positive_and_exact(capfd):
         channel = extract_kraus(fam, draw, t)
         pair0 = partial_trace(fam.mixture(), ("A", "B"))
         via_channel = apply_channel(channel, pair0)
-        joint = evolve_sector(fam.mixture(levels=5), t, draw)
-        via_trace = partial_trace(joint, ("A", "B"))
+        via_trace = evolve_sector(fam.mixture(levels=5), t, draw)
         worst_dev = max(worst_dev, float(np.max(np.abs(via_channel.mat - via_trace.mat))))
     ok = worst_residual <= 1e-9 and worst_choi >= -1e-8 and worst_dev <= 1e-9
     _report(
@@ -274,12 +273,12 @@ def test_monotone_window_counterexample(capfd):
     params = SpinStarParams()
     rho0 = build_initial_state(params)
     spacing = float(GRID[1] - GRID[0])
-    pair0 = partial_trace(evolve_sector(rho0, float(GRID[0]), params), ("A", "B"))
+    pair0 = evolve_sector(rho0, float(GRID[0]), params)
     c0 = concurrence_2q(pair0)
     mi0 = mutual_information(pair0, PAIR_CUT, 10)
     cs, mis = [], []
     for t in WINDOW_7:
-        pair = partial_trace(evolve_sector(rho0, float(t), params), ("A", "B"))
+        pair = evolve_sector(rho0, float(t), params)
         cs.append(concurrence_2q(pair))
         mis.append(mutual_information(pair, PAIR_CUT, 10))
     cs = np.array(cs)
@@ -384,7 +383,7 @@ def test_property_suites(capfd):
             np.kron(rho.mat, env0), DimsSpec(("A", 2), ("B", 2), ("E", 4))
         )
         t = float(rng.uniform(0.0, 2.0 * math.pi))
-        dilated = partial_trace(evolve_sector(joint, t, params), ("A", "B"))
+        dilated = evolve_sector(joint, t, params)
         worst = max(worst, mutual_information(dilated, PAIR_CUT) - mi_before)
     checks.append(("mutual information data processing", worst, 1e-9))
 

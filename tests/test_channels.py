@@ -121,8 +121,7 @@ class TestExtractKraus:
             channel = extract_kraus(family, params, t)
             pair0 = partial_trace(family.mixture(), ("A", "B"))
             via_channel = apply_channel(channel, pair0)
-            joint = evolve_sector(family.mixture(levels=5), t, params)
-            via_trace = partial_trace(joint, ("A", "B"))
+            via_trace = evolve_sector(family.mixture(levels=5), t, params)
             assert np.max(np.abs(via_channel.mat - via_trace.mat)) <= 1e-9
 
     def test_incomplete_family_is_rejected(self):

@@ -288,7 +288,7 @@ def test_concurrence_near_rank_tol_matches_closed_form():
     )
     omega_t = float(np.linspace(0.0, 69.3891894634337, 1500)[1449])
     t = omega_t / params.omega
-    pair = partial_trace(evolve_sector(build_initial_state(params), t, params), ("A", "B"))
+    pair = evolve_sector(build_initial_state(params), t, params)
     assert omega_t == pytest.approx(67.0747, abs=1e-4)
     assert 0.0 < pair.eigenvalues[0] <= 1e-12
     c_closed = concurrence_closed_form(closed_form_coeffs(params), t)

@@ -271,7 +271,8 @@ class TestEvolveSector:
     def test_time_zero_is_identity(self):
         rho = build_initial_state(default_params())
         out = evolve_sector(rho, 0.0, default_params())
-        np.testing.assert_array_equal(out.mat, rho.mat)
+        assert out.dims == DimsSpec(("A", 2), ("B", 2))
+        np.testing.assert_array_equal(out.mat, partial_trace(rho, ("A", "B")).mat)
 
     def test_rejects_top_rung_population(self):
         mat = np.zeros((16, 16), dtype=complex)
@@ -408,9 +409,7 @@ class TestBruteForceEvolver:
         rho0 = build_initial_state(params)
         for t in np.linspace(0.0, 2.0 * math.pi / params.omega, 10):
             dense = evolver.reduced_state(float(t)).mat
-            laddered = partial_trace(
-                evolve_sector(rho0, float(t), params), ("A", "B")
-            ).mat
+            laddered = evolve_sector(rho0, float(t), params).mat
             assert np.max(np.abs(dense - laddered)) <= 1e-9
 
     @pytest.mark.parametrize("n_spins", [2, 3, 5])
@@ -488,7 +487,7 @@ class TestWindowMutualInformation:
         off_x[np.arange(4), np.arange(4)] = False
         off_x[[0, 3, 1, 2], [3, 0, 2, 1]] = False
         for t in WINDOW_7:
-            pair = partial_trace(evolve_sector(rho0, float(t), params), ("A", "B"))
+            pair = evolve_sector(rho0, float(t), params)
             r = pair.mat
             assert np.max(np.abs(r[off_x])) <= 1e-15
             pops = r.diagonal().real

@@ -13,11 +13,14 @@ from spinstar import (
     SpinStarParams,
     build_initial_state,
     conditional_mutual_information,
+    haar_unitary,
+    identity,
     mutual_information,
     partial_trace,
     von_neumann_entropy,
 )
 from spinstar.model import branch_vectors
+from spinstar.states import conjugate_local
 
 
 def test_dims_spec_accessors():
@@ -170,6 +173,31 @@ def test_partial_trace_rejects_unknown_label():
         partial_trace(rho, ("Z",))
     with pytest.raises(ValueError):
         partial_trace(rho, ())
+
+
+@pytest.mark.parametrize("factors", [(("A", 2), ("B", 2), ("E", 3)), (("X", 2), ("Y", 2))])
+def test_conjugate_local_matches_kron_and_partial_trace(factors):
+    rng = np.random.default_rng(12)
+    rho = random_density(rng, DimsSpec(*factors))
+    u = haar_unitary(rho.dim // 2, rng)
+    full = np.kron(identity(2), u)
+    evolved = DensityMatrix(full @ rho.mat @ full.conj().T, rho.dims)
+    reference = partial_trace(evolved, rho.dims.labels[:2])
+    pair = conjugate_local(rho, u)
+    assert pair.dims == reference.dims
+    assert np.max(np.abs(pair.mat - reference.mat)) <= 1e-15
+
+
+def test_conjugate_local_refuses_bad_inputs():
+    rng = np.random.default_rng(14)
+    rho = random_density(rng, DimsSpec(("A", 2), ("B", 2), ("E", 3)))
+    with pytest.raises(ValueError, match="unitary must be 6x6"):
+        conjugate_local(rho, identity(4))
+    with pytest.raises(ValueError, match="unitary must be 6x6"):
+        conjugate_local(rho, np.ones(6))
+    for dims in ((("A", 3), ("B", 2)), (("A", 2), ("B", 3), ("E", 2)), (("A", 2),)):
+        with pytest.raises(ValueError, match="qubit"):
+            conjugate_local(random_density(rng, DimsSpec(*dims)), identity(3))
 
 
 def test_entropy_pure_state_is_zero():
