@@ -15,7 +15,7 @@ stays frozen.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +60,7 @@ class KrausChannel:
         residual = max_abs(
             sum(dagger(k) @ k for k in ops) - identity(dim)
         )
-        if residual > COMPLETENESS_TOL:
+        if not residual <= COMPLETENESS_TOL:
             raise ValueError(
                 f"Kraus completeness residual {residual:.3e} exceeds {COMPLETENESS_TOL:.1e}"
             )
@@ -161,7 +161,7 @@ class RandomUnitaryChannel:
         for u in unitaries:
             if u.shape != (2, 2):
                 raise ValueError(f"branch unitaries must be 2x2, got {u.shape}")
-            if max_abs(dagger(u) @ u - identity(2)) > 1e-10:
+            if not max_abs(dagger(u) @ u - identity(2)) <= 1e-10:
                 raise ValueError("branch matrix is not unitary within 1e-10")
             u.setflags(write=False)
         self.probabilities = probs
@@ -190,12 +190,10 @@ class RucSample:
     hidden: float
 
 
-def ruc_trajectory(
-    builder: Callable[[float], RandomUnitaryChannel],
-    rho0: DensityMatrix,
-    t_grid: Sequence[float],
-) -> tuple[RucSample, ...]:
-    """Branch-resolved evolution of a two-qubit state under a unitary dial.
+def ruc_trajectory(rho0: DensityMatrix, t_grid: Sequence[float]) -> tuple[RucSample, ...]:
+    """Branch-resolved evolution of a two-qubit state under the phase dial.
+
+    Each grid value is the dial angle handed to `random_phase_channel`.
 
     At every grid time the ensemble-averaged concurrence must match the
     initial concurrence within 1e-9, because each branch evolves by a local
@@ -205,15 +203,13 @@ def ruc_trajectory(
     c0 = concurrence_2q(rho0)
     samples = []
     for t in t_grid:
-        channel = builder(t)
-        members = []
-        mixture = np.zeros_like(rho0.mat)
-        for p, u in zip(channel.probabilities, channel.unitaries):
-            branch = conjugate_local(rho0, u)
-            members.append(EnsembleMember(p, branch))
-            mixture = mixture + p * branch.mat
-        c_ens, c_mix, hidden = hidden_entanglement(members, DensityMatrix(mixture, rho0.dims))
-        if abs(c_ens - c0) > 1e-9:
+        channel = random_phase_channel(t)
+        members = [
+            EnsembleMember(p, conjugate_local(rho0, u))
+            for p, u in zip(channel.probabilities, channel.unitaries)
+        ]
+        c_ens, c_mix, hidden = hidden_entanglement(members)
+        if not abs(c_ens - c0) <= 1e-9:
             raise ArithmeticError(
                 f"ensemble concurrence drifted to {c_ens:.12g} from {c0:.12g} at t={t!r}"
             )
@@ -221,18 +217,15 @@ def ruc_trajectory(
     return tuple(samples)
 
 
-def random_phase_channel(omega: float = 1.0) -> Callable[[float], RandomUnitaryChannel]:
-    """Equal-weight pair of opposite phase rotations at angular rate omega.
+def random_phase_channel(angle: float) -> RandomUnitaryChannel:
+    """Equal-weight pair of opposite phase rotations through the dial angle.
 
-    The two branches are exp(-i omega t Z / 2) and its inverse, a minimal
-    dephasing dial: the mixture's concurrence follows |cos(omega t)| on a
-    maximally entangled input while each branch stays maximally entangled.
+    The two branches are exp(-i angle Z / 2) and its inverse, a minimal
+    dephasing dial: at angle omega t the mixture's concurrence follows
+    |cos(omega t)| on a maximally entangled input while each branch stays
+    maximally entangled.
     """
-
-    def build(t: float) -> RandomUnitaryChannel:
-        half = 0.5 * omega * t
-        forward = np.diag([np.exp(-1j * half), np.exp(1j * half)])
-        backward = np.diag([np.exp(1j * half), np.exp(-1j * half)])
-        return RandomUnitaryChannel([(0.5, forward), (0.5, backward)])
-
-    return build
+    half = 0.5 * angle
+    forward = np.diag([np.exp(-1j * half), np.exp(1j * half)])
+    backward = np.diag([np.exp(1j * half), np.exp(-1j * half)])
+    return RandomUnitaryChannel([(0.5, forward), (0.5, backward)])

@@ -12,13 +12,7 @@ import sys
 
 import numpy as np
 
-from .channels import (
-    apply_channel,
-    choi_matrix,
-    extract_kraus,
-    random_phase_channel,
-    ruc_trajectory,
-)
+from .channels import apply_channel, choi_matrix, extract_kraus, ruc_trajectory
 from .entanglement import concurrence_2q, concurrence_a_be, inaccessible_concurrence
 from .markov import (
     CMI_TOL,
@@ -377,8 +371,8 @@ def _markov_scenario(name: str, params: SpinStarParams) -> tuple[DensityMatrix, 
     if name == "custom-markov":
         plus = np.full((2, 2), 0.5, dtype=complex)
         blocks = (
-            MarkovBlock(0.6, np.diag([1.0, 0.0]).astype(complex), np.diag([0.7, 0.3]).astype(complex), 1, 1),
-            MarkovBlock(0.4, plus, np.diag([0.2, 0.8]).astype(complex), 1, 1),
+            MarkovBlock(0.6, np.diag([1.0, 0.0]).astype(complex), np.diag([0.7, 0.3]).astype(complex)),
+            MarkovBlock(0.4, plus, np.diag([0.2, 0.8]).astype(complex)),
         )
         return make_markov_state(MarkovBlockSpec(2, 2, blocks)), True
     raise ValueError(f"unknown scenario {name!r}")
@@ -414,7 +408,7 @@ def _cmd_hidden(args: argparse.Namespace) -> int:
     bell[1] = bell[2] = 1.0 / math.sqrt(2.0)
     rho0 = DensityMatrix(np.outer(bell, bell.conj()), DimsSpec(("A", 2), ("B", 2)))
     try:
-        samples = ruc_trajectory(random_phase_channel(1.0), rho0, grid.tolist())
+        samples = ruc_trajectory(rho0, grid.tolist())
     except ArithmeticError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return EXIT_CHECK

@@ -22,6 +22,7 @@ __all__ = [
     "tensor",
     "max_abs",
     "check_orthonormal",
+    "hermitian_part",
     "herm_eig",
     "haar_unitary",
 ]
@@ -78,18 +79,29 @@ def check_orthonormal(vectors: Sequence[np.ndarray], what: str) -> None:
     """Reject a family of vectors whose Gram matrix is not the identity."""
     stack = np.array(vectors)
     gram = stack @ dagger(stack)
-    if max_abs(gram - identity(len(vectors))) > ORTHONORMALITY_TOL:
+    if not max_abs(gram - identity(len(vectors))) <= ORTHONORMALITY_TOL:
         raise ValueError(f"{what} are not orthonormal within {ORTHONORMALITY_TOL:.1e}")
 
 
-def _check_square(m: np.ndarray, what: str) -> np.ndarray:
+def hermitian_part(m: np.ndarray, what: str) -> np.ndarray:
+    """(m + m^dagger) / 2 of a finite square matrix that is Hermitian within HERM_TOL.
+
+    A real input gives a real result, so its eigenbasis stays real.
+    """
     m = np.asarray(m)
     m = m.astype(np.result_type(m, float), copy=False)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} must be a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{what} has non-finite entries")
-    return m
+    m_dag = dagger(m)
+    dev = max_abs(m - m_dag)
+    if dev > HERM_TOL:
+        raise ValueError(
+            f"{what} is not Hermitian: max |m - m^dagger| = {dev:.3e} exceeds {HERM_TOL:.1e}"
+        )
+    # symmetrize so roundoff in the input cannot leak into complex eigenvalues
+    return (m + m_dag) / 2.0
 
 
 def herm_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -100,16 +112,7 @@ def herm_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     reconstructs the input; a real symmetric input gets a real orthogonal
     matrix. Non-square or non-Hermitian input is rejected.
     """
-    m = _check_square(m, "herm_eig input")
-    dev = max_abs(m - dagger(m))
-    if dev > HERM_TOL:
-        raise ValueError(
-            f"herm_eig input is not Hermitian: max |m - m^dagger| = {dev:.3e} exceeds {HERM_TOL:.1e}"
-        )
-    # symmetrize so roundoff in the input cannot leak into complex eigenvalues
-    sym = (m + dagger(m)) / 2.0
-    vals, vecs = np.linalg.eigh(sym)
-    return vals, vecs
+    return np.linalg.eigh(hermitian_part(m, "herm_eig input"))
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

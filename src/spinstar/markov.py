@@ -52,13 +52,17 @@ NPT_TOL = 1e-9
 EXCESS_TOL = 1e-9
 
 
-def _check_density_block(mat: np.ndarray, dim: int, what: str) -> np.ndarray:
+def _block_factor_dim(mat: np.ndarray, dim_fixed: int, what: str) -> int:
+    """Dimension of the block's own factor next to a fixed factor of dim_fixed."""
     arr = np.array(mat, dtype=complex)
-    if arr.shape != (dim, dim):
-        raise ValueError(f"{what} must be {dim}x{dim}, got {arr.shape}")
+    size = arr.shape[0] if arr.ndim else 0
+    if size == 0 or size % dim_fixed:
+        raise ValueError(f"{what} size {size} is not a positive multiple of {dim_fixed}")
+    if arr.shape != (size, size):
+        raise ValueError(f"{what} must be {size}x{size}, got {arr.shape}")
     # reuse the standard state validation for Hermiticity, trace, and spectrum
-    DensityMatrix(arr, DimsSpec(("block", dim)))
-    return arr
+    DensityMatrix(arr, DimsSpec(("block", size)))
+    return size // dim_fixed
 
 
 @dataclass(frozen=True)
@@ -68,8 +72,6 @@ class MarkovBlock:
     weight: float
     left: np.ndarray
     right: np.ndarray
-    dim_left: int
-    dim_right: int
 
 
 class MarkovBlockSpec:
@@ -78,27 +80,31 @@ class MarkovBlockSpec:
     The middle space decomposes as a direct sum over blocks of (left x right)
     factors; each block contributes weight * left_state x right_state with
     the left state living on (A, left) and the right state on (right, E).
+    `splits` holds each block's (left, right) dimensions, read off the block
+    state sizes.
     """
 
-    __slots__ = ("dim_a", "dim_e", "blocks")
+    __slots__ = ("dim_a", "dim_e", "blocks", "splits")
 
     def __init__(self, dim_a: int, dim_e: int, blocks: tuple[MarkovBlock, ...] | list):
         if dim_a < 2 or dim_e < 1:
             raise ValueError(f"need dim_a >= 2 and dim_e >= 1, got {dim_a}, {dim_e}")
         blocks = tuple(blocks)
         check_probabilities((b.weight for b in blocks), "block")
-        for b in blocks:
-            if b.dim_left < 1 or b.dim_right < 1:
-                raise ValueError("block factor dimensions must be positive")
-            _check_density_block(b.left, dim_a * b.dim_left, "left block state")
-            _check_density_block(b.right, b.dim_right * dim_e, "right block state")
+        self.splits = tuple(
+            (
+                _block_factor_dim(b.left, dim_a, "left block state"),
+                _block_factor_dim(b.right, dim_e, "right block state"),
+            )
+            for b in blocks
+        )
         self.dim_a = int(dim_a)
         self.dim_e = int(dim_e)
         self.blocks = blocks
 
     @property
     def dim_b(self) -> int:
-        return sum(b.dim_left * b.dim_right for b in self.blocks)
+        return sum(dl * dr for dl, dr in self.splits)
 
 
 def make_markov_state(spec: MarkovBlockSpec) -> DensityMatrix:
@@ -106,8 +112,7 @@ def make_markov_state(spec: MarkovBlockSpec) -> DensityMatrix:
     da, de, db = spec.dim_a, spec.dim_e, spec.dim_b
     out = np.zeros((da, db, de, da, db, de), dtype=complex)
     offset = 0
-    for block in spec.blocks:
-        dl, dr = block.dim_left, block.dim_right
+    for block, (dl, dr) in zip(spec.blocks, spec.splits):
         span = dl * dr
         piece = block.weight * np.kron(block.left, block.right)
         piece = piece.reshape(da, span, de, da, span, de)

@@ -149,10 +149,11 @@ class ClosedFormCoeffs:
 
     def __post_init__(self):
         for name in ("a", "b", "d", "f"):
-            if getattr(self, name) < -1e-12:
-                raise ValueError(f"population coefficient {name} is negative")
+            value = getattr(self, name)
+            if not value >= -1e-12:
+                raise ValueError(f"population coefficient {name} is {value!r}, not non-negative")
         total = self.a + self.b + self.d + self.f
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"population coefficients sum to {total:.12g}, not 1")
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HERM_TOL, dagger, max_abs
+from .linalg import dagger, hermitian_part
 
 __all__ = [
     "DimsSpec",
@@ -119,24 +119,16 @@ class DensityMatrix:
         eig_floor: float = 1e-9,
     ):
         arr = np.array(mat, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"density matrix must be square, got shape {arr.shape}")
+        sym = hermitian_part(arr, "density matrix")
         if arr.shape[0] != dims.total_dim:
             raise ValueError(
                 f"matrix dimension {arr.shape[0]} does not match factors {dims!r}"
                 f" with total dimension {dims.total_dim}"
             )
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("density matrix has non-finite entries")
-        dev = max_abs(arr - dagger(arr))
-        if dev > HERM_TOL:
-            raise ValueError(
-                f"density matrix is not Hermitian: max deviation {dev:.3e} exceeds {HERM_TOL:.1e}"
-            )
         tr = complex(np.trace(arr))
         if abs(tr - 1.0) > trace_tol:
             raise ValueError(f"density matrix trace {tr:.12g} is not 1 within {trace_tol:.1e}")
-        vals = np.linalg.eigvalsh((arr + dagger(arr)) / 2.0)
+        vals = np.linalg.eigvalsh(sym)
         low = float(vals[0])
         if low < -eig_floor:
             raise ValueError(

@@ -36,7 +36,6 @@ from spinstar import (
     markov_necessary_witnesses,
     mutual_information,
     partial_trace,
-    random_phase_channel,
     ruc_trajectory,
     verify_localized_reduction,
     von_neumann_entropy,
@@ -233,9 +232,7 @@ def test_inaccessible_entanglement_accounting(capfd):
     bell = np.zeros(4, dtype=complex)
     bell[1] = bell[2] = 1.0 / math.sqrt(2.0)
     rho_bell = DensityMatrix(np.outer(bell, bell.conj()), DimsSpec(("A", 2), ("B", 2)))
-    samples = ruc_trajectory(
-        random_phase_channel(1.0), rho_bell, np.linspace(0.0, math.pi, 101).tolist()
-    )
+    samples = ruc_trajectory(rho_bell, np.linspace(0.0, math.pi, 101).tolist())
     hidden0 = samples[0].hidden
     c_mix0 = samples[0].mixture_concurrence
     max_gain = max(s.mixture_concurrence for s in samples) - c_mix0

@@ -247,7 +247,7 @@ class TestRucTrajectory:
     def test_phase_dial_concurrence_profile(self):
         rho = density_from_vec(bell_pair(), TWO_QUBITS)
         grid = [0.0, math.pi / 4, math.pi / 2, math.pi]
-        samples = ruc_trajectory(random_phase_channel(1.0), rho, grid)
+        samples = ruc_trajectory(rho, grid)
         assert len(samples) == 4
         for sample in samples:
             assert sample.mixture_concurrence == pytest.approx(
@@ -260,19 +260,19 @@ class TestRucTrajectory:
 
     def test_starts_with_nothing_hidden_and_revives_fully(self):
         rho = density_from_vec(bell_pair(), TWO_QUBITS)
-        samples = ruc_trajectory(random_phase_channel(1.0), rho, [0.0, math.pi])
+        samples = ruc_trajectory(rho, [0.0, math.pi])
         assert samples[0].hidden == 0.0
         assert samples[1].mixture_concurrence == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_wrong_input_dims(self):
         rho = build_initial_state(SpinStarParams())
         with pytest.raises(ValueError, match="two-qubit initial state"):
-            ruc_trajectory(random_phase_channel(1.0), rho, [0.0])
+            ruc_trajectory(rho, [0.0])
 
 
 def test_random_phase_channel_branches():
     t = 0.9
-    channel = random_phase_channel(2.0)(t)
+    channel = random_phase_channel(2.0 * t)
     half = 0.5 * 2.0 * t
     forward = np.diag([np.exp(-1j * half), np.exp(1j * half)])
     np.testing.assert_allclose(channel.unitaries[0], forward, atol=1e-15)

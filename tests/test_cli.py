@@ -2,9 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from spinstar import channels, entanglement, states
+from spinstar import channels, cli, entanglement, states
+from spinstar.channels import RucSample
 from spinstar.cli import (
     EXIT_CHECK,
     EXIT_OK,
@@ -264,6 +266,37 @@ class TestHidden:
         code, _, _ = run(capsys, "hidden", "--steps", "10")
         assert code == EXIT_OK
         assert len(calls) == 1 + 3 * 10
+
+    def run_failing(self, capsys):
+        code, out, err = run(capsys, "hidden", "--steps", "3", "--t-max", str(math.pi))
+        assert code == EXIT_CHECK
+        assert out == ""
+        return err
+
+    def test_ensemble_drift_exits_3(self, capsys, monkeypatch):
+        # the initial state reads 0.5 while both branches stay at 1
+        monkeypatch.setattr(channels, "concurrence_2q", lambda rho: 0.5)
+        assert self.run_failing(capsys) == (
+            "consistency failure: ensemble concurrence drifted to 1 from 0.5 at t=0.0\n"
+        )
+
+    def test_convexity_violation_exits_3(self, capsys, monkeypatch):
+        # a stand-in measure that reads 1 on the pure branches and grows with
+        # mixedness: at omega*t = pi/2 the mixture has purity 1/2 and reads 2
+        def rises_when_mixed(rho):
+            return 1.0 + 2.0 * (1.0 - float(np.trace(rho.mat @ rho.mat).real))
+
+        monkeypatch.setattr(entanglement, "concurrence_2q", rises_when_mixed)
+        err = self.run_failing(capsys)
+        assert err.startswith("consistency failure: hidden entanglement -1.000e+00 below -1e-9")
+        assert "convexity violated" in err
+
+    def test_mixture_above_its_start_exits_3(self, capsys, monkeypatch):
+        samples = (RucSample(0.0, 0.5, 1.0, 0.5), RucSample(1.0, 0.9, 1.0, 0.1))
+        monkeypatch.setattr(cli, "ruc_trajectory", lambda rho0, grid: samples)
+        assert self.run_failing(capsys) == (
+            "consistency failure: mixture concurrence 0.9 exceeds initial 0.5\n"
+        )
 
 
 @pytest.mark.parametrize(

@@ -236,7 +236,7 @@ def test_inaccessible_concurrence():
 
 def test_hidden_entanglement_single_member():
     rho = density_from_vec(bell_pair(), TWO_QUBITS)
-    c_ens, c_mix, hidden = hidden_entanglement([EnsembleMember(1.0, rho)], rho)
+    c_ens, c_mix, hidden = hidden_entanglement([EnsembleMember(1.0, rho)])
     assert c_ens == pytest.approx(1.0, abs=1e-12)
     assert c_mix == pytest.approx(1.0, abs=1e-12)
     assert hidden == pytest.approx(0.0, abs=1e-12)
@@ -250,24 +250,28 @@ def test_hidden_entanglement_dephased_bell():
     members = [EnsembleMember(0.5, rho), EnsembleMember(0.5, flipped)]
     mixture = DensityMatrix(0.5 * rho.mat + 0.5 * flipped.mat, TWO_QUBITS)
     assert concurrence_2q(mixture) == 0.0
-    assert hidden_entanglement(members, mixture) == pytest.approx((1.0, 0.0, 1.0), abs=1e-12)
+    assert hidden_entanglement(members) == pytest.approx((1.0, 0.0, 1.0), abs=1e-12)
 
 
 def test_hidden_entanglement_phase_dial_quarter_turn():
     # equal-weight opposite phase rotations at omega t = pi/4 leave the
     # mixture with concurrence cos(pi/4) while both branches stay at 1
-    from spinstar import random_phase_channel, ruc_trajectory
+    from spinstar import ruc_trajectory
 
     rho = density_from_vec(bell_pair(), TWO_QUBITS)
-    (sample,) = ruc_trajectory(random_phase_channel(1.0), rho, [math.pi / 4])
+    (sample,) = ruc_trajectory(rho, [math.pi / 4])
     assert sample.hidden == pytest.approx(1.0 - math.cos(math.pi / 4), abs=1e-12)
 
 
-def test_hidden_entanglement_rejects_mismatched_mixture():
+def test_hidden_entanglement_needs_a_member():
+    with pytest.raises(ValueError, match="at least one ensemble member"):
+        hidden_entanglement([])
+
+
+def test_ensemble_concurrence_refuses_mixed_members():
     rho = density_from_vec(bell_pair(), TWO_QUBITS)
-    other = DensityMatrix(np.eye(4) / 4.0, TWO_QUBITS)
-    with pytest.raises(ValueError, match="deviates"):
-        hidden_entanglement([EnsembleMember(1.0, rho)], other)
+    with pytest.raises(ValueError, match="pure states, got DensityMatrix"):
+        ensemble_concurrence([EnsembleMember(1.0, rho)], AB_CUT)
 
 
 @pytest.mark.xfail(

@@ -4,9 +4,12 @@ Parsed with the standard library's ``ast``, since no linter is a dependency.
 A name counts as used when it appears as an identifier or attribute base
 anywhere in the module, or as a string in ``__all__`` (a re-export).
 Imports under ``if TYPE_CHECKING:`` serve annotations only and are exempt.
+
+Every name the benchmark tracer patches also still resolves in its module.
 """
 
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -58,3 +61,31 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+SPANS = pathlib.Path(__file__).resolve().parents[1] / "spinbench" / "spans.py"
+
+
+def span_targets() -> tuple[tuple[str, str, str], ...]:
+    """The (layer, module, attribute) table `LAYERS` of the benchmark tracer.
+
+    Read from the source, so the tracer and its dependencies are not imported.
+    """
+    tree = ast.parse(SPANS.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no LAYERS table in {SPANS}")
+
+
+@pytest.mark.parametrize("layer, module, attr", span_targets())
+def test_traced_layer_resolves(layer, module, attr):
+    """Every function the benchmark tracer wraps still lives where it looks."""
+    owner = importlib.import_module(module)
+    if "." in attr:
+        class_name, attr = attr.split(".")
+        assert attr in vars(getattr(owner, class_name))
+    else:
+        assert callable(getattr(owner, attr))

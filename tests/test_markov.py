@@ -45,15 +45,11 @@ def two_flag_spec(rng):
             0.5,
             random_density(rng, DimsSpec(("A", 2))).mat,
             random_density(rng, DimsSpec(("E", 2))).mat,
-            1,
-            1,
         ),
         MarkovBlock(
             0.5,
             random_density(rng, DimsSpec(("A", 2))).mat,
             random_density(rng, DimsSpec(("E", 2))).mat,
-            1,
-            1,
         ),
     )
     return MarkovBlockSpec(2, 2, blocks)
@@ -61,23 +57,25 @@ def two_flag_spec(rng):
 
 class TestMarkovBlockSpec:
     def test_validation(self):
-        ok = MarkovBlock(1.0, np.eye(2) / 2.0, np.eye(2) / 2.0, 1, 1)
+        ok = MarkovBlock(1.0, np.eye(2) / 2.0, np.eye(2) / 2.0)
         with pytest.raises(ValueError, match="dim_a"):
             MarkovBlockSpec(1, 2, (ok,))
         with pytest.raises(ValueError, match="at least one block"):
             MarkovBlockSpec(2, 2, ())
         with pytest.raises(ValueError, match="non-negative"):
-            MarkovBlockSpec(2, 2, (MarkovBlock(-1.0, np.eye(2) / 2, np.eye(2) / 2, 1, 1),))
+            MarkovBlockSpec(2, 2, (MarkovBlock(-1.0, np.eye(2) / 2, np.eye(2) / 2),))
         with pytest.raises(ValueError, match="sum"):
-            MarkovBlockSpec(2, 2, (MarkovBlock(0.5, np.eye(2) / 2, np.eye(2) / 2, 1, 1),))
-        with pytest.raises(ValueError, match="positive"):
-            MarkovBlockSpec(2, 2, (MarkovBlock(1.0, np.eye(2) / 2, np.eye(2) / 2, 0, 1),))
+            MarkovBlockSpec(2, 2, (MarkovBlock(0.5, np.eye(2) / 2, np.eye(2) / 2),))
+        # block factor sizes are read off the block states and must fit dim_a, dim_e
+        for left in (np.eye(3) / 3, np.zeros((0, 0))):
+            with pytest.raises(ValueError, match="positive multiple of 2"):
+                MarkovBlockSpec(2, 2, (MarkovBlock(1.0, left, np.eye(2) / 2),))
 
     def test_rejects_non_state_blocks(self):
-        bad_shape = MarkovBlock(1.0, np.eye(3) / 3.0, np.eye(2) / 2.0, 1, 1)
+        bad_shape = MarkovBlock(1.0, np.ones((2, 3)) / 3.0, np.eye(2) / 2.0)
         with pytest.raises(ValueError, match="must be 2x2"):
             MarkovBlockSpec(2, 2, (bad_shape,))
-        negative = MarkovBlock(1.0, np.diag([1.5, -0.5]), np.eye(2) / 2.0, 1, 1)
+        negative = MarkovBlock(1.0, np.diag([1.5, -0.5]), np.eye(2) / 2.0)
         with pytest.raises(ValueError, match="semidefinite"):
             MarkovBlockSpec(2, 2, (negative,))
 
@@ -92,7 +90,7 @@ class TestMakeMarkovState:
         rng = np.random.default_rng(32)
         left = random_density(rng, DimsSpec(("A", 2), ("L", 2))).mat
         right = random_density(rng, DimsSpec(("E", 3))).mat
-        spec = MarkovBlockSpec(2, 3, (MarkovBlock(1.0, left, right, 2, 1),))
+        spec = MarkovBlockSpec(2, 3, (MarkovBlock(1.0, left, right),))
         state = make_markov_state(spec)
         assert state.dims.labels == ("A", "B", "E")
         assert state.dims.dims == (2, 2, 3)
@@ -102,7 +100,7 @@ class TestMakeMarkovState:
         rng = np.random.default_rng(33)
         rho_a = random_density(rng, DimsSpec(("A", 2))).mat
         rho_be = random_density(rng, DimsSpec(("R", 2), ("E", 2))).mat
-        spec = MarkovBlockSpec(2, 2, (MarkovBlock(1.0, rho_a, rho_be, 1, 2),))
+        spec = MarkovBlockSpec(2, 2, (MarkovBlock(1.0, rho_a, rho_be),))
         state = make_markov_state(spec)
         np.testing.assert_array_equal(state.mat, np.kron(rho_a, rho_be))
         assert conditional_mutual_information(state) <= 1e-8
@@ -121,15 +119,11 @@ class TestMakeMarkovState:
                 0.4,
                 random_density(rng, DimsSpec(("A", 2), ("L", 2))).mat,
                 random_density(rng, DimsSpec(("E", 2))).mat,
-                2,
-                1,
             ),
             MarkovBlock(
                 0.6,
                 random_density(rng, DimsSpec(("A", 2))).mat,
                 random_density(rng, DimsSpec(("R", 2), ("E", 2))).mat,
-                1,
-                2,
             ),
         )
         spec = MarkovBlockSpec(2, 2, blocks)
@@ -270,8 +264,6 @@ class TestLocalizedReduction:
                     1.0,
                     random_density(np.random.default_rng(43), DimsSpec(("A", 2), ("L", 2))).mat,
                     random_density(np.random.default_rng(44), DimsSpec(("R", 2), ("E", 2))).mat,
-                    2,
-                    2,
                 ),
             ),
         )
