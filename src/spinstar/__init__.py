@@ -22,7 +22,6 @@ from .channels import (
 from .entanglement import (
     EnsembleMember,
     concurrence_2q,
-    concurrence_a_be,
     concurrence_pure,
     ensemble_concurrence,
     hidden_entanglement,
@@ -53,14 +52,14 @@ from .markov import (
 from .model import (
     LARGE_N,
     BruteForceEvolver,
-    ClosedFormCoeffs,
     SpinStarParams,
     ZeroDiscordFamily,
     branch_vectors,
     build_initial_state,
     build_w_state,
-    closed_form_coeffs,
     closed_form_terms,
+    cmi_closed_form,
+    concurrence_a_be,
     concurrence_closed_form,
     evolve_sector,
     sector_unitary,
@@ -88,12 +87,12 @@ __all__ = [
     # entanglement
     "EnsembleMember", "concurrence_pure", "spin_flip_coefficients",
     "concurrence_2q", "ppt_min_eigenvalue", "ensemble_concurrence",
-    "concurrence_a_be", "inaccessible_concurrence", "hidden_entanglement",
+    "inaccessible_concurrence", "hidden_entanglement",
     # model
-    "LARGE_N", "SpinStarParams", "ClosedFormCoeffs", "branch_vectors",
+    "LARGE_N", "SpinStarParams", "branch_vectors",
     "ZeroDiscordFamily", "zero_discord_family", "build_initial_state",
-    "build_w_state", "closed_form_coeffs", "closed_form_terms",
-    "concurrence_closed_form", "sector_unitary", "evolve_sector",
+    "build_w_state", "closed_form_terms", "concurrence_closed_form",
+    "concurrence_a_be", "cmi_closed_form", "sector_unitary", "evolve_sector",
     "BruteForceEvolver",
     # channels
     "KrausChannel", "extract_kraus", "apply_channel", "choi_matrix",

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from .channels import apply_channel, choi_matrix, extract_kraus, ruc_trajectory
-from .entanglement import concurrence_2q, concurrence_a_be, inaccessible_concurrence
+from .entanglement import concurrence_2q, inaccessible_concurrence
 from .markov import (
     CMI_TOL,
     MarkovBlock,
@@ -29,7 +29,8 @@ from .model import (
     SpinStarParams,
     build_initial_state,
     build_w_state,
-    closed_form_coeffs,
+    cmi_closed_form,
+    concurrence_a_be,
     concurrence_closed_form,
     evolve_sector,
     zero_discord_family,
@@ -152,8 +153,7 @@ def _check_angles(
     """Refuse a run whose largest rotation angle Omega_n t is not below limit.
 
     The run rotates ladder rungs 0..top_rung up to omega*t = omega_t_max; on a
-    finite bath the rung frequency peaks at rung (N - 1) // 2.  An infinite
-    collective frequency omega gives t = 0 and the angle inf * 0 = nan.
+    finite bath the rung frequency peaks at rung (N - 1) // 2.
     """
     if not params.is_large_n:
         top_rung = min(top_rung, (int(params.env_spins) - 1) // 2)
@@ -248,14 +248,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     base = _LOG_BASES[args.log_base]
-    coeffs = closed_form_coeffs(params)
     rho0 = build_initial_state(params)
     c_abe = concurrence_a_be(params)
     rows = [SWEEP_HEADER]
     c_numeric_series, mi_series = [], []
     for omega_t in grid:
         t = omega_t / params.omega
-        c_closed = concurrence_closed_form(coeffs, t)
+        c_closed = concurrence_closed_form(params, t)
         rho_pair = evolver.reduced_state(t) if evolver is not None else evolve_sector(rho0, t, params)
         c_numeric = concurrence_2q(rho_pair)
         if abs(c_closed - c_numeric) > SWEEP_CONSISTENCY_TOL:
@@ -333,31 +332,9 @@ def _cmd_kraus_check(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_CHECK
 
 
-def _binary_entropy(x: float) -> float:
-    if x <= 0.0 or x >= 1.0:
-        return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
-
-
-def _flagged_mixture_cmi(params: SpinStarParams) -> float:
-    """I(A:E|B) of the flagged mixture in bits, from its branch structure.
-
-    The branches are pure with orthogonal flags, so S(AB) = S(ABE) = H(p),
-    S(BE) adds each branch's qubit-B entropy, and S(B) is the entropy of
-    qubit B's |0> population p cos^2(alpha) + (1 - p) sin^2(beta).
-    """
-    p, x, y = params.p, math.cos(params.alpha) ** 2, math.sin(params.beta) ** 2
-    return (
-        _binary_entropy(p)
-        + p * _binary_entropy(x)
-        + (1.0 - p) * _binary_entropy(y)
-        - _binary_entropy(p * x + (1.0 - p) * y)
-    )
-
-
 def _markov_scenario(name: str, params: SpinStarParams) -> tuple[DensityMatrix, bool]:
     if name == "eq-mixture":
-        return build_initial_state(params), _flagged_mixture_cmi(params) <= CMI_TOL
+        return build_initial_state(params), cmi_closed_form(params) <= CMI_TOL
     if name == "w-state":
         amp = 1.0 / math.sqrt(3.0)
         return build_w_state(amp, amp, amp).to_density(), False

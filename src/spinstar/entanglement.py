@@ -12,15 +12,11 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .linalg import SIGMA_Y, dagger, herm_eig, tensor
+from .linalg import SIGMA_Y, dagger, herm_eig, hermitian_part, tensor
 from .states import Cut, DensityMatrix, PureState, check_probabilities, check_two_qubit, split_cut
-
-if TYPE_CHECKING:
-    from .model import SpinStarParams
 
 __all__ = [
     "EnsembleMember",
@@ -29,7 +25,6 @@ __all__ = [
     "concurrence_2q",
     "ppt_min_eigenvalue",
     "ensemble_concurrence",
-    "concurrence_a_be",
     "inaccessible_concurrence",
     "hidden_entanglement",
 ]
@@ -116,7 +111,7 @@ def ppt_min_eigenvalue(rho: DensityMatrix, cut: Cut) -> float:
         i = rho.dims.position(lab)
         axes[i], axes[n + i] = axes[n + i], axes[i]
     pt = np.transpose(tensor_form, axes).reshape(rho.dim, rho.dim)
-    vals = np.linalg.eigvalsh((pt + dagger(pt)) / 2.0)
+    vals = np.linalg.eigvalsh(hermitian_part(pt, "partial transpose"))
     return float(vals[0])
 
 
@@ -127,18 +122,6 @@ def ensemble_concurrence(members: Sequence[EnsembleMember], cut: Cut) -> float:
         if not isinstance(m.state, PureState):
             raise ValueError(f"ensemble members must be pure states, got {type(m.state).__name__}")
     return math.fsum(m.weight * concurrence_pure(m.state, cut) for m in members)
-
-
-def concurrence_a_be(params: "SpinStarParams") -> float:
-    """Concurrence between the isolated qubit and everything it is cut from.
-
-    For the flagged pair mixture this cut inherits the branch structure, so
-    the value is the weighted branch concurrence p |sin 2a| + (1-p) |sin 2b|
-    and stays constant under any evolution local to the other side.
-    """
-    return params.p * abs(math.sin(2.0 * params.alpha)) + (1.0 - params.p) * abs(
-        math.sin(2.0 * params.beta)
-    )
 
 
 def inaccessible_concurrence(c_whole: float, c_sys: float) -> float:
@@ -163,6 +146,11 @@ def hidden_entanglement(members: Sequence[EnsembleMember]) -> tuple[float, float
     gap non-negative up to rounding.
     """
     weights = check_probabilities((m.weight for m in members), "ensemble member")
+    for m in members:
+        if not isinstance(m.state, DensityMatrix):
+            raise ValueError(
+                f"ensemble members must be density matrices, got {type(m.state).__name__}"
+            )
     c_ens = math.fsum(w * concurrence_2q(m.state) for w, m in zip(weights, members))
     mixture = np.zeros((4, 4), dtype=complex)
     for w, m in zip(weights, members):

@@ -19,7 +19,10 @@ The mixed initial state interpolates between two flagged branches:
 where |n> are symmetric bath levels.  For this family the reduced pair state
 stays in X form and its concurrence has a closed form, evaluated by
 `concurrence_closed_form` and cross-checked against full-Hilbert-space
-evolution by `BruteForceEvolver`.
+evolution by `BruteForceEvolver`.  The constant A|BE concurrence
+(`concurrence_a_be`) and the conditional mutual information I(A:E|B)
+(`cmi_closed_form`) have closed forms too; this module is the one place that
+knows which branch carries weight p, angle alpha and flag |1>.
 """
 
 from __future__ import annotations
@@ -37,15 +40,15 @@ from .states import DensityMatrix, DimsSpec, PureState, check_probabilities, con
 __all__ = [
     "LARGE_N",
     "SpinStarParams",
-    "ClosedFormCoeffs",
     "branch_vectors",
     "ZeroDiscordFamily",
     "zero_discord_family",
     "build_initial_state",
     "build_w_state",
-    "closed_form_coeffs",
     "closed_form_terms",
     "concurrence_closed_form",
+    "concurrence_a_be",
+    "cmi_closed_form",
     "sector_unitary",
     "evolve_sector",
     "BruteForceEvolver",
@@ -99,6 +102,11 @@ class SpinStarParams:
         for name, angle in (("alpha", self.alpha), ("beta", self.beta)):
             if not 0.0 <= angle <= 2.0 * math.pi:
                 raise ValueError(f"{name} must lie in [0, 2*pi], got {angle!r}")
+        # omega1 >= omega, so this bounds every frequency the closed forms read
+        if not math.isfinite(self.omega1):
+            raise ValueError(
+                f"coupling {self.coupling!r} with env_spins {n!r} overflows the frequencies"
+            )
 
     @property
     def is_large_n(self) -> bool:
@@ -127,34 +135,6 @@ class SpinStarParams:
         if self.is_large_n:
             return self.coupling * math.sqrt(n + 1.0)
         return self.coupling * math.sqrt((n + 1.0) * max(self.env_spins - n, 0.0))
-
-
-@dataclass(frozen=True)
-class ClosedFormCoeffs:
-    """Constant coefficients of the closed-form pair concurrence.
-
-    a, b weight the second branch's ground and excited pair populations,
-    d, f the first branch's, and c, e the respective coherences.  The four
-    populations sum to one.
-    """
-
-    a: float
-    b: float
-    c: float
-    d: float
-    e: float
-    f: float
-    omega: float
-    omega1: float
-
-    def __post_init__(self):
-        for name in ("a", "b", "d", "f"):
-            value = getattr(self, name)
-            if not value >= -1e-12:
-                raise ValueError(f"population coefficient {name} is {value!r}, not non-negative")
-        total = self.a + self.b + self.d + self.f
-        if not abs(total - 1.0) <= 1e-12:
-            raise ValueError(f"population coefficients sum to {total:.12g}, not 1")
 
 
 def branch_vectors(alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -270,44 +250,71 @@ def build_w_state(x: float, y: float, z: float) -> PureState:
     return PureState(vec, PAIR_ENV_DIMS)
 
 
-def closed_form_coeffs(params: SpinStarParams) -> ClosedFormCoeffs:
-    """Constant coefficients of the reduced pair state for the flagged mixture."""
+def closed_form_terms(params: SpinStarParams, t: float) -> tuple[float, float]:
+    """The two competing terms whose positive part sets the pair concurrence.
+
+    a, b weight the second branch's ground and excited pair populations, d, f
+    the first branch's, and c, e the respective coherences.
+    """
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"time must be finite and non-negative, got {t!r}")
     p = params.p
     sin_a, cos_a = math.sin(params.alpha), math.cos(params.alpha)
     sin_b, cos_b = math.sin(params.beta), math.cos(params.beta)
-    return ClosedFormCoeffs(
-        a=(1.0 - p) * sin_b**2,
-        b=(1.0 - p) * cos_b**2,
-        c=0.5 * (1.0 - p) * math.sin(2.0 * params.beta),
-        d=p * sin_a**2,
-        e=0.5 * p * math.sin(2.0 * params.alpha),
-        f=p * cos_a**2,
-        omega=params.omega,
-        omega1=params.omega1,
+    a = (1.0 - p) * sin_b**2
+    b = (1.0 - p) * cos_b**2
+    c = 0.5 * (1.0 - p) * math.sin(2.0 * params.beta)
+    d = p * sin_a**2
+    e = 0.5 * p * math.sin(2.0 * params.alpha)
+    f = p * cos_a**2
+    angle, angle1 = params.omega * t, params.omega1 * t
+    cos_w, sin_w = math.cos(angle), math.sin(angle)
+    cos_w1, sin_w1 = math.cos(angle1), math.sin(angle1)
+    term1 = abs(e * cos_w1 * cos_w) - math.sqrt(
+        (b * cos_w**2 + f * sin_w**2) * (a + d * sin_w1**2)
     )
-
-
-def closed_form_terms(coeffs: ClosedFormCoeffs, t: float) -> tuple[float, float]:
-    """The two competing terms whose positive part sets the pair concurrence."""
-    if t < 0.0:
-        raise ValueError(f"time must be non-negative, got {t!r}")
-    cos_w = math.cos(coeffs.omega * t)
-    sin_w = math.sin(coeffs.omega * t)
-    cos_w1 = math.cos(coeffs.omega1 * t)
-    sin_w1 = math.sin(coeffs.omega1 * t)
-    term1 = abs(coeffs.e * cos_w1 * cos_w) - math.sqrt(
-        (coeffs.b * cos_w**2 + coeffs.f * sin_w**2) * (coeffs.a + coeffs.d * sin_w1**2)
-    )
-    term2 = abs(coeffs.c * cos_w) - math.sqrt(
-        (coeffs.b * sin_w**2 + coeffs.f * cos_w**2) * (coeffs.d * cos_w1**2)
-    )
+    term2 = abs(c * cos_w) - math.sqrt((b * sin_w**2 + f * cos_w**2) * (d * cos_w1**2))
     return term1, term2
 
 
-def concurrence_closed_form(coeffs: ClosedFormCoeffs, t: float) -> float:
+def concurrence_closed_form(params: SpinStarParams, t: float) -> float:
     """Concurrence of the reduced pair state at time t, in closed form."""
-    term1, term2 = closed_form_terms(coeffs, t)
+    term1, term2 = closed_form_terms(params, t)
     return 2.0 * max(0.0, term1, term2)
+
+
+def concurrence_a_be(params: SpinStarParams) -> float:
+    """Concurrence between the isolated qubit and everything it is cut from.
+
+    For the flagged pair mixture this cut inherits the branch structure, so
+    the value is the weighted branch concurrence p |sin 2a| + (1-p) |sin 2b|
+    and stays constant under any evolution local to the other side.
+    """
+    return params.p * abs(math.sin(2.0 * params.alpha)) + (1.0 - params.p) * abs(
+        math.sin(2.0 * params.beta)
+    )
+
+
+def _binary_entropy(x: float) -> float:
+    if x <= 0.0 or x >= 1.0:
+        return 0.0
+    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+
+
+def cmi_closed_form(params: SpinStarParams) -> float:
+    """I(A:E|B) of the flagged mixture in bits, from its branch structure.
+
+    The branches are pure with orthogonal flags, so S(AB) = S(ABE) = H(p),
+    S(BE) adds each branch's qubit-B entropy, and S(B) is the entropy of
+    qubit B's |0> population p cos^2(alpha) + (1 - p) sin^2(beta).
+    """
+    p, x, y = params.p, math.cos(params.alpha) ** 2, math.sin(params.beta) ** 2
+    return (
+        _binary_entropy(p)
+        + p * _binary_entropy(x)
+        + (1.0 - p) * _binary_entropy(y)
+        - _binary_entropy(p * x + (1.0 - p) * y)
+    )
 
 
 def sector_unitary(params: SpinStarParams, t: float, levels: int = ENV_LEVELS) -> np.ndarray:

@@ -23,7 +23,6 @@ from spinstar import (
     build_initial_state,
     build_w_state,
     choi_matrix,
-    closed_form_coeffs,
     concurrence_2q,
     concurrence_a_be,
     concurrence_closed_form,
@@ -63,11 +62,10 @@ def test_closed_form_tracks_dense_evolution(capfd):
     worst = 0.0
     for n_spins in (2, 4, 6, 8):
         params = SpinStarParams(env_spins=n_spins)
-        coeffs = closed_form_coeffs(params)
         evolver = BruteForceEvolver(params)
         for omega_t in np.linspace(0.0, 2.0 * math.pi, 50):
             t = float(omega_t) / params.omega
-            closed = concurrence_closed_form(coeffs, t)
+            closed = concurrence_closed_form(params, t)
             dense = concurrence_2q(evolver.reduced_state(t))
             worst = max(worst, abs(closed - dense))
     ok = worst <= 1e-9
@@ -78,10 +76,10 @@ def test_closed_form_tracks_dense_evolution(capfd):
 def test_trajectory_landmarks(capfd):
     """The large-bath trajectory starts at exactly zero, peaks twice at the
     expected times and heights, and leaves its dead window where expected."""
-    coeffs = closed_form_coeffs(SpinStarParams())
-    c0 = concurrence_closed_form(coeffs, 0.0)
+    params = SpinStarParams()
+    c0 = concurrence_closed_form(params, 0.0)
     fine = np.linspace(0.0, 4.0, 8001)
-    cs = np.array([concurrence_closed_form(coeffs, float(t)) for t in fine])
+    cs = np.array([concurrence_closed_form(params, float(t)) for t in fine])
     peak_idx = np.flatnonzero((cs[1:-1] > cs[:-2]) & (cs[1:-1] > cs[2:])) + 1
     rise_idx = np.flatnonzero((cs[:-1] == 0.0) & (cs[1:] > 0.0))
     rise_idx = rise_idx[fine[rise_idx] > 1.0]
@@ -108,9 +106,8 @@ def test_exceedance_with_classical_correlation_only(capfd):
     rho0 = build_initial_state(params)
     discord = discord_zero_check(rho0, identity(4))
     env_factor_count = len(rho0.dims) - 2
-    coeffs = closed_form_coeffs(params)
-    c0 = concurrence_closed_form(coeffs, 0.0)
-    cs = np.array([concurrence_closed_form(coeffs, float(t)) for t in GRID])
+    c0 = concurrence_closed_form(params, 0.0)
+    cs = np.array([concurrence_closed_form(params, float(t)) for t in GRID])
     best = int(np.argmax(cs))
     pair = evolve_sector(rho0, float(GRID[best]), params)
     c_numeric = concurrence_2q(pair)
@@ -219,12 +216,11 @@ def test_inaccessible_entanglement_accounting(capfd):
     dial revives entanglement without ever exceeding its initial value."""
     params = SpinStarParams()
     c_abe = concurrence_a_be(params)
-    coeffs = closed_form_coeffs(params)
-    ci0 = inaccessible_concurrence(c_abe, concurrence_closed_form(coeffs, 0.0))
+    ci0 = inaccessible_concurrence(c_abe, concurrence_closed_form(params, 0.0))
     worst_gap = 0.0
     min_ci = math.inf
     for t in GRID:
-        c = concurrence_closed_form(coeffs, float(t))
+        c = concurrence_closed_form(params, float(t))
         ci = inaccessible_concurrence(c_abe, c)
         worst_gap = max(worst_gap, abs(ci - (1.0 - c)))
         min_ci = min(min_ci, ci)

@@ -26,7 +26,6 @@ from spinstar.model import (
     branch_vectors,
     build_initial_state,
     build_w_state,
-    closed_form_coeffs,
     concurrence_closed_form,
     evolve_sector,
 )
@@ -268,6 +267,12 @@ def test_hidden_entanglement_needs_a_member():
         hidden_entanglement([])
 
 
+def test_hidden_entanglement_refuses_pure_members():
+    psi = PureState(bell_pair(), TWO_QUBITS)
+    with pytest.raises(ValueError, match="density matrices, got PureState"):
+        hidden_entanglement([EnsembleMember(1.0, psi)])
+
+
 def test_ensemble_concurrence_refuses_mixed_members():
     rho = density_from_vec(bell_pair(), TWO_QUBITS)
     with pytest.raises(ValueError, match="pure states, got DensityMatrix"):
@@ -295,5 +300,5 @@ def test_concurrence_near_rank_tol_matches_closed_form():
     pair = evolve_sector(build_initial_state(params), t, params)
     assert omega_t == pytest.approx(67.0747, abs=1e-4)
     assert 0.0 < pair.eigenvalues[0] <= 1e-12
-    c_closed = concurrence_closed_form(closed_form_coeffs(params), t)
+    c_closed = concurrence_closed_form(params, t)
     assert abs(concurrence_2q(pair) - c_closed) <= 1e-12

@@ -9,18 +9,18 @@ import pytest
 from spinstar import (
     LARGE_N,
     BruteForceEvolver,
-    ClosedFormCoeffs,
     DensityMatrix,
     DimsSpec,
     SpinStarParams,
     branch_vectors,
     build_initial_state,
     build_w_state,
-    closed_form_coeffs,
     closed_form_terms,
+    cmi_closed_form,
     concurrence_2q,
     concurrence_closed_form,
     concurrence_pure,
+    conditional_mutual_information,
     evolve_sector,
     mutual_information,
     partial_trace,
@@ -41,6 +41,9 @@ ZERO_CROSSING_T = 2.602580569137146
 # grid point of the large-bath pair mutual-information maximum inside the
 # criterion-7 window, measured with the sector propagator
 MI_TURN_T = 2.9357153961509423
+# branch angles where a branch is a product state (0, pi/2) or maximally
+# entangled (pi/4)
+EDGE_ANGLES = (0.0, math.pi / 4, math.pi / 2)
 
 
 def default_params(**overrides):
@@ -68,6 +71,12 @@ class TestSpinStarParams:
             default_params(p=-0.1)
         with pytest.raises(ValueError, match="p must lie"):
             default_params(p=1.2)
+
+    def test_rejects_overflowing_frequencies(self):
+        with pytest.raises(ValueError, match="overflows"):
+            default_params(coupling=math.inf)
+        with pytest.raises(ValueError, match="overflows"):
+            default_params(env_spins=4, coupling=1e308)
 
     def test_rejects_out_of_range_angles(self):
         with pytest.raises(ValueError, match="alpha"):
@@ -112,27 +121,53 @@ class TestFrequencies:
             default_params().mode_frequency(-1)
 
 
-class TestClosedFormCoeffs:
-    def test_default_point_is_symmetric(self):
-        coeffs = closed_form_coeffs(default_params())
-        for name in ("a", "b", "d", "f"):
-            assert getattr(coeffs, name) == pytest.approx(0.25, abs=1e-15)
-        assert coeffs.c == pytest.approx(0.25, abs=1e-15)
-        assert coeffs.e == pytest.approx(0.25, abs=1e-15)
+class TestClosedFormAgainstSector:
+    """The closed form is the X-state concurrence of the evolved pair at every
+    mixing edge and branch angle, including product and absent branches."""
 
-    def test_pure_branch_limits(self):
-        top = closed_form_coeffs(default_params(p=1.0, alpha=0.0))
-        assert top.f == pytest.approx(1.0)
-        assert top.a == top.b == top.c == top.d == top.e == 0.0
-        bottom = closed_form_coeffs(default_params(p=0.0, beta=math.pi / 2))
-        assert bottom.a == pytest.approx(1.0)
-        assert bottom.f == 0.0
+    @pytest.mark.parametrize("n_spins", [7, LARGE_N])
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+    def test_matches_sector_evolution(self, n_spins, p):
+        worst = 0.0
+        for alpha in EDGE_ANGLES:
+            for beta in EDGE_ANGLES:
+                params = default_params(env_spins=n_spins, p=p, alpha=alpha, beta=beta)
+                rho0 = build_initial_state(params)
+                for omega_t in np.linspace(0.0, 4.0 * math.pi, 400):
+                    t = float(omega_t) / params.omega
+                    numeric = concurrence_2q(evolve_sector(rho0, t, params))
+                    worst = max(worst, abs(concurrence_closed_form(params, t) - numeric))
+        assert worst <= 1e-12
 
-    def test_validation(self):
-        with pytest.raises(ValueError, match="negative"):
-            ClosedFormCoeffs(a=-0.1, b=0.4, c=0.0, d=0.4, e=0.0, f=0.3, omega=1, omega1=1)
-        with pytest.raises(ValueError, match="sum"):
-            ClosedFormCoeffs(a=0.3, b=0.3, c=0.0, d=0.3, e=0.0, f=0.3, omega=1, omega1=1)
+    def test_product_branches_give_exactly_zero(self):
+        """Only product branches carry weight, so no term ever turns positive;
+        the angle of an absent branch does not matter."""
+        for p, alpha, beta in [
+            (0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (1.0, 0.0, 0.0),
+            (1.0, 0.0, math.pi / 4), (0.0, math.pi / 4, 0.0),
+        ]:
+            params = default_params(p=p, alpha=alpha, beta=beta)
+            for t in np.linspace(0.0, 4.0 * math.pi, 400):
+                assert concurrence_closed_form(params, float(t)) == 0.0
+
+
+class TestCmiClosedForm:
+    @pytest.mark.parametrize("p", [0.0, 1.0, 1e-9, 1.0 - 1e-9])
+    def test_matches_entropies_at_the_edges(self, p):
+        for alpha in (0.0, math.pi / 2, math.pi, 1.5 * math.pi, 2.0 * math.pi):
+            for beta in (0.0, math.pi / 2, math.pi, 1.5 * math.pi, 2.0 * math.pi):
+                params = default_params(p=p, alpha=alpha, beta=beta)
+                numeric = conditional_mutual_information(build_initial_state(params))
+                assert abs(cmi_closed_form(params) - numeric) <= 1e-12
+
+    def test_matches_entropies_on_random_draws(self):
+        rng = np.random.default_rng(10)
+        for _ in range(40):
+            p = float(rng.uniform(0.0, 1.0))
+            alpha, beta = rng.uniform(0.0, 2.0 * math.pi, size=2)
+            params = default_params(p=p, alpha=float(alpha), beta=float(beta))
+            numeric = conditional_mutual_information(build_initial_state(params))
+            assert abs(cmi_closed_form(params) - numeric) <= 1e-12
 
 
 class TestBranchVectors:
@@ -154,38 +189,42 @@ class TestBranchVectors:
 
 class TestClosedForm:
     def test_starts_at_zero(self):
-        coeffs = closed_form_coeffs(default_params())
-        assert concurrence_closed_form(coeffs, 0.0) == 0.0
+        params = default_params()
+        assert concurrence_closed_form(params, 0.0) == 0.0
 
     def test_first_peak(self):
-        coeffs = closed_form_coeffs(default_params())
-        assert concurrence_closed_form(coeffs, FIRST_PEAK_T) == pytest.approx(
+        params = default_params()
+        assert concurrence_closed_form(params, FIRST_PEAK_T) == pytest.approx(
             FIRST_PEAK_C, abs=1e-12
         )
 
     def test_second_peak(self):
-        coeffs = closed_form_coeffs(default_params())
-        assert concurrence_closed_form(coeffs, SECOND_PEAK_T) == pytest.approx(
+        params = default_params()
+        assert concurrence_closed_form(params, SECOND_PEAK_T) == pytest.approx(
             SECOND_PEAK_C, abs=1e-12
         )
 
     def test_zero_crossing(self):
-        coeffs = closed_form_coeffs(default_params())
+        params = default_params()
         eps = 1e-6
-        assert concurrence_closed_form(coeffs, ZERO_CROSSING_T - eps) == 0.0
-        assert concurrence_closed_form(coeffs, ZERO_CROSSING_T + eps) > 0.0
+        assert concurrence_closed_form(params, ZERO_CROSSING_T - eps) == 0.0
+        assert concurrence_closed_form(params, ZERO_CROSSING_T + eps) > 0.0
 
     def test_rejects_negative_time(self):
-        coeffs = closed_form_coeffs(default_params())
+        params = default_params()
         with pytest.raises(ValueError, match="non-negative"):
-            closed_form_terms(coeffs, -0.1)
+            closed_form_terms(params, -0.1)
+
+    def test_rejects_infinite_time(self):
+        with pytest.raises(ValueError, match="finite"):
+            concurrence_closed_form(default_params(), math.inf)
 
     def test_first_term_never_wins_at_default_point(self):
         """With all populations equal the geometric-mean penalty dominates the
         first term, so every revival comes from the second one."""
-        coeffs = closed_form_coeffs(default_params())
+        params = default_params()
         for t in np.linspace(0.0, 4.0 * math.pi, 500):
-            term1, _ = closed_form_terms(coeffs, float(t))
+            term1, _ = closed_form_terms(params, float(t))
             assert term1 <= 1e-15
 
 
@@ -424,19 +463,17 @@ class TestBruteForceEvolver:
     @pytest.mark.parametrize("n_spins", [12, MAX_BATH_SPINS])
     def test_closed_form_agreement_on_large_baths(self, n_spins):
         params = default_params(env_spins=n_spins, p=0.4, alpha=0.6, beta=1.3)
-        coeffs = closed_form_coeffs(params)
         evolver = BruteForceEvolver(params)
         for omega_t in np.linspace(0.0, 30.0, 60):
             t = float(omega_t) / params.omega
             numeric = concurrence_2q(evolver.reduced_state(t))
-            assert abs(concurrence_closed_form(coeffs, t) - numeric) <= 1e-12
+            assert abs(concurrence_closed_form(params, t) - numeric) <= 1e-12
 
     def test_concurrence_tracks_closed_form(self):
         params = default_params(env_spins=6)
-        coeffs = closed_form_coeffs(params)
         evolver = BruteForceEvolver(params)
         for t in np.linspace(0.1, 3.0, 7):
-            closed = concurrence_closed_form(coeffs, float(t))
+            closed = concurrence_closed_form(params, float(t))
             numeric = concurrence_2q(evolver.reduced_state(float(t)))
             assert abs(closed - numeric) <= 1e-9
 

@@ -4,18 +4,16 @@ A check written as ``if dev > tol: raise`` lets NaN pass, since every
 comparison with NaN is False; each check below is written so that NaN fails.
 """
 
-import math
-
 import numpy as np
 import pytest
 
 from spinstar import (
-    ClosedFormCoeffs,
     KrausChannel,
     RandomUnitaryChannel,
     SpinStarParams,
     ZeroDiscordFamily,
     build_initial_state,
+    concurrence_closed_form,
     discord_zero_check,
     inaccessible_concurrence,
 )
@@ -40,9 +38,11 @@ CASES = {
     "discord-zero-check": lambda: discord_zero_check(
         build_initial_state(SpinStarParams()), nan_flags()
     ),
-    "closed-form-coeffs": lambda: ClosedFormCoeffs(
-        a=NAN, b=0.5, c=0.0, d=0.25, e=0.0, f=0.25, omega=1.0, omega1=math.sqrt(2.0)
-    ),
+    "params-p": lambda: SpinStarParams(p=NAN),
+    "params-alpha": lambda: SpinStarParams(alpha=NAN),
+    "params-beta": lambda: SpinStarParams(beta=NAN),
+    "params-coupling": lambda: SpinStarParams(coupling=NAN),
+    "closed-form-time": lambda: concurrence_closed_form(SpinStarParams(), NAN),
     "inaccessible-whole-cut": lambda: inaccessible_concurrence(NAN, 0.5),
     "inaccessible-system": lambda: inaccessible_concurrence(1.0, NAN),
 }
