@@ -9,10 +9,11 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections.abc import Sequence
 
 import numpy as np
 
-from .channels import apply_channel, choi_matrix, extract_kraus, ruc_trajectory
+from .channels import RucSample, apply_channel, choi_matrix, extract_kraus, ruc_trajectory
 from .entanglement import concurrence_2q, inaccessible_concurrence
 from .markov import (
     CMI_TOL,
@@ -51,9 +52,18 @@ SWEEP_CONSISTENCY_TOL = 1e-6
 #: rung-1 frequency, at most the rung-2 one whose angle `_check_angles` bounds
 ORACLE_MAX_ANGLE = SWEEP_CONSISTENCY_TOL / (16 * sys.float_info.epsilon)
 
-#: largest accepted --steps; `hidden` keeps about 0.2 kB of samples per grid
-#: point and peaks near 75 MB resident at this ceiling
+#: largest accepted --steps; `hidden` keeps about 0.15 kB of samples and 0.1 kB
+#: of CSV text per grid point and peaks below HIDDEN_PEAK_RSS_MB at this ceiling
 MAX_STEPS = 100_000
+
+#: ceiling on the peak resident set of `hidden --steps MAX_STEPS`, in MB.  The
+#: per-point route peaked at 74.9 MB; the batched one measured 71.7 MB
+#: (Python 3.11, numpy 2.4.6), of which about 30 MB is the interpreter and numpy
+HIDDEN_PEAK_RSS_MB = 75
+
+#: largest gap of a `hidden` value from the phase dial's closed forms; the
+#: worst over 200 random grids of up to 3000 points was 1.1e-15
+HIDDEN_CLOSED_FORM_TOL = 1e-14
 
 SWEEP_HEADER = "omega_t,c_closed,c_numeric,mi,c_abe,c_inaccessible"
 HIDDEN_HEADER = "omega_t,c_mixture,c_ensemble_avg,c_hidden"
@@ -375,6 +385,33 @@ def _cmd_markov_check(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_CHECK
 
 
+def _hidden_closed_form_failure(grid: np.ndarray, samples: Sequence[RucSample]) -> str | None:
+    """The first `hidden` value off the phase dial's closed forms, or None.
+
+    For the Bell input the mixture keeps |cos omega t|, each branch keeps 1,
+    and the difference is hidden.
+    """
+    values = np.array(
+        [
+            [s.mixture_concurrence for s in samples],
+            [s.ensemble_concurrence for s in samples],
+            [s.hidden for s in samples],
+        ]
+    )
+    cos_t = np.abs(np.cos(grid))
+    closed = np.stack([cos_t, np.ones_like(cos_t), 1.0 - cos_t])
+    bad = ~(np.abs(values - closed) <= HIDDEN_CLOSED_FORM_TOL)
+    if not bad.any():
+        return None
+    row, col = np.unravel_index(np.argmax(bad.T), bad.T.shape)
+    value, expected = values[col, row], closed[col, row]
+    column = HIDDEN_HEADER.split(",")[col + 1]
+    return (
+        f"omega*t={grid[row]:.6g}: {column} {value:.17g} vs closed form {expected:.17g}, "
+        f"gap {abs(value - expected):.1e} exceeds {HIDDEN_CLOSED_FORM_TOL:.0e}"
+    )
+
+
 def _cmd_hidden(args: argparse.Namespace) -> int:
     try:
         grid = _grid_from(args)
@@ -385,7 +422,7 @@ def _cmd_hidden(args: argparse.Namespace) -> int:
     bell[1] = bell[2] = 1.0 / math.sqrt(2.0)
     rho0 = DensityMatrix(np.outer(bell, bell.conj()), DimsSpec(("A", 2), ("B", 2)))
     try:
-        samples = ruc_trajectory(rho0, grid.tolist())
+        samples = ruc_trajectory(rho0, grid)
     except ArithmeticError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return EXIT_CHECK
@@ -397,6 +434,10 @@ def _cmd_hidden(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_CHECK
+    failure = _hidden_closed_form_failure(grid, samples)
+    if failure is not None:
+        print(f"consistency failure at {failure}", file=sys.stderr)
+        return EXIT_CHECK
     rows = [HIDDEN_HEADER]
     for omega_t, s in zip(grid, samples):
         rows.append(
@@ -405,6 +446,7 @@ def _cmd_hidden(args: argparse.Namespace) -> int:
                 for v in (omega_t, s.mixture_concurrence, s.ensemble_concurrence, s.hidden)
             )
         )
+    del samples  # the rows carry the same values; free them before the text is built
     try:
         _emit(rows, args.output)
     except OSError as exc:

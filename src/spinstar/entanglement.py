@@ -16,21 +16,36 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import SIGMA_Y, dagger, herm_eig, hermitian_part, tensor
-from .states import Cut, DensityMatrix, PureState, check_probabilities, check_two_qubit, split_cut
+from .states import (
+    Cut,
+    DensityMatrix,
+    DimsSpec,
+    PureState,
+    check_probabilities,
+    check_two_qubit,
+    density_spectra,
+    split_cut,
+)
 
 __all__ = [
     "EnsembleMember",
     "concurrence_pure",
     "spin_flip_coefficients",
     "concurrence_2q",
+    "concurrence_2q_stack",
     "ppt_min_eigenvalue",
     "ensemble_concurrence",
     "inaccessible_concurrence",
     "hidden_entanglement",
+    "hidden_entanglement_stack",
+    "convexity_failure",
 ]
 
 #: density-matrix eigenvalues at or below this are treated as unpopulated
 RANK_TOL = 1e-12
+
+#: hidden entanglement below -CONVEXITY_TOL violates convexity of the concurrence
+CONVEXITY_TOL = 1e-9
 
 #: the two-qubit spin flip Y x Y, which is real
 SPIN_FLIP = tensor(SIGMA_Y, SIGMA_Y).real
@@ -63,6 +78,22 @@ def concurrence_pure(psi: PureState, cut: Cut) -> float:
     return math.sqrt(max(0.0, 2.0 * (1.0 - purity)))
 
 
+def _spin_flip_stack(mats: np.ndarray) -> np.ndarray:
+    """Descending spin-flip coefficients of each matrix in a (..., 4, 4) stack."""
+    vals, vecs = herm_eig(mats)
+    lams = np.zeros(vals.shape)
+    # eigenvalues ascend, so the kept ones are the last r of each matrix:
+    # grouping by r hands each svd the same r x r tau as a single matrix gets
+    ranks = (vals > RANK_TOL).sum(axis=-1)
+    unique = set(np.ravel(ranks).tolist())
+    for r in unique - {0}:
+        at = ... if len(unique) == 1 else ranks == r
+        w = vecs[at, :, 4 - r :] * np.sqrt(vals[at, None, 4 - r :])
+        tau = w.swapaxes(-1, -2) @ SPIN_FLIP @ w
+        lams[at, :r] = np.linalg.svd(tau, compute_uv=False)
+    return lams
+
+
 def spin_flip_coefficients(rho: DensityMatrix) -> np.ndarray:
     """Descending spin-flip coefficients of a two-qubit density matrix.
 
@@ -75,15 +106,18 @@ def spin_flip_coefficients(rho: DensityMatrix) -> np.ndarray:
     Eigenvalues of rho at or below RANK_TOL carry no usable amplitude and are
     dropped.
     """
-    vals, vecs = herm_eig(rho.mat)
-    keep = vals > RANK_TOL
-    w = vecs[:, keep] * np.sqrt(vals[keep])
-    tau = w.T @ SPIN_FLIP @ w
-    lams = np.zeros(4)
-    if tau.size:
-        sv = np.linalg.svd(tau, compute_uv=False)
-        lams[: sv.size] = sv
-    return lams
+    return _spin_flip_stack(rho.mat)
+
+
+def concurrence_2q_stack(mats: np.ndarray) -> np.ndarray:
+    """Concurrence of each two-qubit density matrix in a (..., 4, 4) stack.
+
+    The matrices must already be validated, as `density_spectra` does; the
+    coefficients are those of `spin_flip_coefficients`.
+    """
+    lams = _spin_flip_stack(mats)
+    c = lams[..., 0] - lams[..., 1] - lams[..., 2] - lams[..., 3]
+    return np.where(c > 0.0, c, 0.0)
 
 
 def concurrence_2q(rho: DensityMatrix) -> float:
@@ -93,8 +127,7 @@ def concurrence_2q(rho: DensityMatrix) -> float:
     must be traced out first.
     """
     check_two_qubit(rho, "state")
-    lams = spin_flip_coefficients(rho)
-    return max(0.0, float(lams[0] - lams[1] - lams[2] - lams[3]))
+    return float(concurrence_2q_stack(rho.mat))
 
 
 def ppt_min_eigenvalue(rho: DensityMatrix, cut: Cut) -> float:
@@ -137,6 +170,33 @@ def inaccessible_concurrence(c_whole: float, c_sys: float) -> float:
     return max(0.0, c_whole - c_sys)
 
 
+def convexity_failure(hidden: float) -> ArithmeticError:
+    """The error for a hidden entanglement below -CONVEXITY_TOL."""
+    return ArithmeticError(f"hidden entanglement {hidden:.3e} below -1e-9; convexity violated")
+
+
+def hidden_entanglement_stack(
+    weights: Sequence[float], mats: np.ndarray, dims: DimsSpec
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ensemble-averaged concurrence, mixture concurrence and their gap at each point.
+
+    mats is a (T, K, 4, 4) stack of validated two-qubit density matrices over
+    dims, K ensemble members at each of T points, mixed with the same K
+    checked weights everywhere.  The ensemble average is the correctly
+    rounded weighted sum, and each mixture is summed from zeros in member
+    order and validated.  The caller checks convexity, so that it can order
+    that check among its own.
+    """
+    terms = concurrence_2q_stack(mats) * np.asarray(weights)
+    c_ens = np.array([math.fsum(row) for row in terms.tolist()])
+    mixture = np.zeros(mats.shape[:1] + mats.shape[2:], dtype=complex)
+    for k, w in enumerate(weights):
+        mixture = mixture + w * mats[:, k]
+    density_spectra(mixture, dims)
+    c_mix = concurrence_2q_stack(mixture)
+    return c_ens, c_mix, c_ens - c_mix
+
+
 def hidden_entanglement(members: Sequence[EnsembleMember]) -> tuple[float, float, float]:
     """Ensemble-averaged concurrence, mixture concurrence, and their gap.
 
@@ -151,12 +211,11 @@ def hidden_entanglement(members: Sequence[EnsembleMember]) -> tuple[float, float
             raise ValueError(
                 f"ensemble members must be density matrices, got {type(m.state).__name__}"
             )
-    c_ens = math.fsum(w * concurrence_2q(m.state) for w, m in zip(weights, members))
-    mixture = np.zeros((4, 4), dtype=complex)
-    for w, m in zip(weights, members):
-        mixture = mixture + w * m.state.mat
-    c_mix = concurrence_2q(DensityMatrix(mixture, members[0].state.dims))
-    hidden = c_ens - c_mix
-    if not hidden >= -1e-9:
-        raise ArithmeticError(f"hidden entanglement {hidden:.3e} below -1e-9; convexity violated")
+        check_two_qubit(m.state, "state")
+    mats = np.stack([m.state.mat for m in members])[None]
+    c_ens, c_mix, hidden = (
+        float(v[0]) for v in hidden_entanglement_stack(weights, mats, members[0].state.dims)
+    )
+    if not hidden >= -CONVEXITY_TOL:
+        raise convexity_failure(hidden)
     return c_ens, c_mix, hidden

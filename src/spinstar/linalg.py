@@ -56,8 +56,8 @@ def identity(dim: int) -> np.ndarray:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m).conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return np.asarray(m).conj().swapaxes(-1, -2)
 
 
 def tensor(*factors: np.ndarray) -> np.ndarray:
@@ -86,26 +86,30 @@ def check_orthonormal(vectors: Sequence[np.ndarray], what: str) -> None:
 def hermitian_part(m: np.ndarray, what: str) -> np.ndarray:
     """(m + m^dagger) / 2 of a finite square matrix that is Hermitian within HERM_TOL.
 
-    A real input gives a real result, so its eigenbasis stays real.
+    m may also be a (..., n, n) stack, and every matrix in it is checked; a
+    failure reports the first offending matrix in row-major order.  A real
+    input gives a real result, so its eigenbasis stays real.
     """
     m = np.asarray(m)
     m = m.astype(np.result_type(m, float), copy=False)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"{what} must be a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{what} has non-finite entries")
     m_dag = dagger(m)
-    dev = max_abs(m - m_dag)
-    if dev > HERM_TOL:
+    dev = np.abs(m - m_dag)
+    if dev.max() > HERM_TOL:
+        per_matrix = dev.max(axis=(-2, -1))
+        first = np.ravel(per_matrix)[np.argmax(per_matrix > HERM_TOL)]
         raise ValueError(
-            f"{what} is not Hermitian: max |m - m^dagger| = {dev:.3e} exceeds {HERM_TOL:.1e}"
+            f"{what} is not Hermitian: max |m - m^dagger| = {first:.3e} exceeds {HERM_TOL:.1e}"
         )
     # symmetrize so roundoff in the input cannot leak into complex eigenvalues
     return (m + m_dag) / 2.0
 
 
 def herm_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral decomposition of a Hermitian matrix.
+    """Spectral decomposition of a Hermitian matrix, or of each in a (..., n, n) stack.
 
     Returns ``(vals, vecs)`` with eigenvalues ascending and eigenvectors as
     the columns of a unitary matrix, so ``vecs @ diag(vals) @ vecs.conj().T``

@@ -19,11 +19,13 @@ from .linalg import dagger, hermitian_part
 __all__ = [
     "DimsSpec",
     "DensityMatrix",
+    "density_spectra",
     "PureState",
     "check_probabilities",
     "check_two_qubit",
     "split_cut",
     "conjugate_local",
+    "local_conjugates",
     "partial_trace",
     "von_neumann_entropy",
     "mutual_information",
@@ -99,13 +101,44 @@ def check_two_qubit(rho: DensityMatrix, what: str) -> None:
         raise ValueError(f"need a two-qubit {what}, got {rho.dims!r}")
 
 
+def density_spectra(
+    mats: np.ndarray, dims: DimsSpec, *, trace_tol: float = 1e-10, eig_floor: float = 1e-9
+) -> np.ndarray:
+    """Ascending spectra of a density matrix over `dims`, or of each in a (..., d, d) stack.
+
+    Every matrix must be Hermitian, of unit trace within trace_tol and have
+    no eigenvalue below -eig_floor; a failure reports the first offending
+    matrix in row-major order.  The spectra are those of the symmetrized
+    matrices.
+    """
+    sym = hermitian_part(mats, "density matrix")
+    if sym.shape[-1] != dims.total_dim:
+        raise ValueError(
+            f"matrix dimension {sym.shape[-1]} does not match factors {dims!r}"
+            f" with total dimension {dims.total_dim}"
+        )
+    # one value per matrix, checked as a list: a numpy reduction costs more
+    # than the whole check on a single matrix
+    traces = np.ravel(np.trace(mats, axis1=-2, axis2=-1)).tolist()
+    for tr in traces:
+        if abs(tr - 1.0) > trace_tol:
+            raise ValueError(f"density matrix trace {tr:.12g} is not 1 within {trace_tol:.1e}")
+    vals = np.linalg.eigvalsh(sym)
+    for low in np.ravel(vals[..., 0]).tolist():
+        if low < -eig_floor:
+            raise ValueError(
+                f"density matrix is not positive semidefinite: min eigenvalue {low:.3e}"
+            )
+    return vals
+
+
 class DensityMatrix:
     """Validated density operator over a labeled factorization.
 
-    Construction rejects matrices that are not Hermitian, not unit trace, or
-    not positive semidefinite within the given tolerances.  `eigenvalues` is
-    the read-only ascending spectrum of the symmetrized matrix that the
-    positivity check solved for.
+    Construction rejects matrices that `density_spectra` rejects: not
+    Hermitian, not unit trace, or not positive semidefinite within the given
+    tolerances.  `eigenvalues` is the read-only ascending spectrum of the
+    symmetrized matrix that the positivity check solved for.
     """
 
     __slots__ = ("mat", "dims", "eigenvalues")
@@ -119,21 +152,9 @@ class DensityMatrix:
         eig_floor: float = 1e-9,
     ):
         arr = np.array(mat, dtype=complex)
-        sym = hermitian_part(arr, "density matrix")
-        if arr.shape[0] != dims.total_dim:
-            raise ValueError(
-                f"matrix dimension {arr.shape[0]} does not match factors {dims!r}"
-                f" with total dimension {dims.total_dim}"
-            )
-        tr = complex(np.trace(arr))
-        if abs(tr - 1.0) > trace_tol:
-            raise ValueError(f"density matrix trace {tr:.12g} is not 1 within {trace_tol:.1e}")
-        vals = np.linalg.eigvalsh(sym)
-        low = float(vals[0])
-        if low < -eig_floor:
-            raise ValueError(
-                f"density matrix is not positive semidefinite: min eigenvalue {low:.3e}"
-            )
+        if arr.ndim != 2:
+            raise ValueError(f"density matrix must be a square matrix, got shape {arr.shape}")
+        vals = density_spectra(arr, dims, trace_tol=trace_tol, eig_floor=eig_floor)
         arr.setflags(write=False)
         vals.setflags(write=False)
         self.mat = arr
@@ -199,6 +220,17 @@ def split_cut(dims: DimsSpec, cut: Cut) -> tuple[tuple[str, ...], tuple[str, ...
     return x_group, y_group
 
 
+def local_conjugates(mat: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """(I_A x u) mat (I_A x u)^dagger, for a matrix u or for each u in a (..., h, h) stack.
+
+    mat is (2h, 2h) with qubit A as its first factor; nothing is validated.
+    """
+    half = u.shape[-1]
+    full = np.zeros(u.shape[:-2] + (2 * half, 2 * half), dtype=complex)
+    full[..., :half, :half] = full[..., half:, half:] = u  # I_A x u, without a kron
+    return full @ mat @ dagger(full)
+
+
 def conjugate_local(rho: DensityMatrix, u: np.ndarray) -> DensityMatrix:
     """The (A, B) pair of (I_A x u) rho (I_A x u)^dagger.
 
@@ -209,9 +241,7 @@ def conjugate_local(rho: DensityMatrix, u: np.ndarray) -> DensityMatrix:
     half = rho.dim // 2
     if np.shape(u) != (half, half):
         raise ValueError(f"unitary must be {half}x{half}, got {np.shape(u)}")
-    full = np.zeros((rho.dim, rho.dim), dtype=complex)
-    full[:half, :half] = full[half:, half:] = u  # I_A x u, without a kron
-    mat = full @ rho.mat @ dagger(full)
+    mat = local_conjugates(rho.mat, np.asarray(u))
     if len(rho.dims) == 2:
         return DensityMatrix(mat, rho.dims)
     pair = np.einsum(mat.reshape(4, half // 2, 4, half // 2), [0, 2, 1, 2], [0, 1])

@@ -9,6 +9,7 @@ from helpers import TWO_QUBITS, bell_pair, density_from_vec, random_density
 from spinstar import (
     DensityMatrix,
     DimsSpec,
+    EnsembleMember,
     KrausChannel,
     RandomUnitaryChannel,
     SpinStarParams,
@@ -22,12 +23,15 @@ from spinstar import (
     discord_zero_check,
     evolve_sector,
     extract_kraus,
+    hidden_entanglement,
     partial_trace,
     random_phase_channel,
     ruc_trajectory,
     zero_discord_family,
 )
+from spinstar.channels import RUC_CHUNK
 from spinstar.linalg import SIGMA_Z, dagger, identity
+from spinstar.states import conjugate_local
 
 
 def default_family(**overrides):
@@ -263,6 +267,30 @@ class TestRucTrajectory:
         samples = ruc_trajectory(rho, [0.0, math.pi])
         assert samples[0].hidden == 0.0
         assert samples[1].mixture_concurrence == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("state", ["bell", "rank-2"])
+    def test_batches_match_the_single_point_route(self, state):
+        """Across a batch boundary, each sample equals `hidden_entanglement` of
+        the `conjugate_local` branches at its own dial angle, bit for bit."""
+        if state == "bell":
+            rho = density_from_vec(bell_pair(), TWO_QUBITS)
+        else:
+            rho = random_density(np.random.default_rng(11), TWO_QUBITS, rank=2)
+        grid = np.concatenate(
+            [np.linspace(0.0, 4.0 * math.pi, RUC_CHUNK + 5), [math.pi + 1e-7, 1e5 + 0.3]]
+        )
+        samples = ruc_trajectory(rho, grid)
+        assert len(samples) == len(grid)
+        for t, sample in zip(grid, samples):
+            channel = random_phase_channel(t)
+            members = [
+                EnsembleMember(p, conjugate_local(rho, u))
+                for p, u in zip(channel.probabilities, channel.unitaries)
+            ]
+            assert sample.t == t
+            assert (
+                sample.ensemble_concurrence, sample.mixture_concurrence, sample.hidden
+            ) == hidden_entanglement(members)
 
     def test_rejects_wrong_input_dims(self):
         rho = build_initial_state(SpinStarParams())

@@ -1,6 +1,11 @@
 """End-to-end tests of the command-line interface through main(argv)."""
 
+import dataclasses
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +17,8 @@ from spinstar.cli import (
     EXIT_OK,
     EXIT_USAGE,
     HIDDEN_HEADER,
+    HIDDEN_PEAK_RSS_MB,
+    MAX_STEPS,
     SWEEP_HEADER,
     main,
 )
@@ -254,18 +261,17 @@ class TestHidden:
 
     def test_each_concurrence_is_computed_once(self, capsys, monkeypatch):
         """One for the initial state, then two branches and the mixture per point."""
-        calls = []
-        original = entanglement.concurrence_2q
+        matrices = []
+        original = entanglement.concurrence_2q_stack
 
-        def counted(*args):
-            calls.append(1)
-            return original(*args)
+        def counted(mats):
+            matrices.append(np.asarray(mats)[..., 0, 0].size)
+            return original(mats)
 
-        for module in (entanglement, channels):
-            monkeypatch.setattr(module, "concurrence_2q", counted)
+        monkeypatch.setattr(entanglement, "concurrence_2q_stack", counted)
         code, _, _ = run(capsys, "hidden", "--steps", "10")
         assert code == EXIT_OK
-        assert len(calls) == 1 + 3 * 10
+        assert sum(matrices) == 1 + 3 * 10
 
     def run_failing(self, capsys):
         code, out, err = run(capsys, "hidden", "--steps", "3", "--t-max", str(math.pi))
@@ -283,10 +289,11 @@ class TestHidden:
     def test_convexity_violation_exits_3(self, capsys, monkeypatch):
         # a stand-in measure that reads 1 on the pure branches and grows with
         # mixedness: at omega*t = pi/2 the mixture has purity 1/2 and reads 2
-        def rises_when_mixed(rho):
-            return 1.0 + 2.0 * (1.0 - float(np.trace(rho.mat @ rho.mat).real))
+        def rises_when_mixed(mats):
+            purity = np.einsum("...ij,...ji->...", mats, mats).real
+            return 1.0 + 2.0 * (1.0 - purity)
 
-        monkeypatch.setattr(entanglement, "concurrence_2q", rises_when_mixed)
+        monkeypatch.setattr(entanglement, "concurrence_2q_stack", rises_when_mixed)
         err = self.run_failing(capsys)
         assert err.startswith("consistency failure: hidden entanglement -1.000e+00 below -1e-9")
         assert "convexity violated" in err
@@ -297,6 +304,51 @@ class TestHidden:
         assert self.run_failing(capsys) == (
             "consistency failure: mixture concurrence 0.9 exceeds initial 0.5\n"
         )
+
+    def test_value_off_its_closed_form_exits_3(self, capsys, monkeypatch):
+        # scale one hidden value by 1 + 1e-12, too little for the other checks
+        original = cli.ruc_trajectory
+
+        def corrupted(rho0, grid):
+            samples = list(original(rho0, grid))
+            samples[1] = dataclasses.replace(samples[1], hidden=samples[1].hidden * (1.0 + 1e-12))
+            return tuple(samples)
+
+        monkeypatch.setattr(cli, "ruc_trajectory", corrupted)
+        err = self.run_failing(capsys)
+        assert err.startswith("consistency failure at omega*t=1.5708: c_hidden 1.00000000000099")
+        assert err.endswith(", gap 1.0e-12 exceeds 1e-14\n")
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="spin_flip_coefficients drops the mixture eigenvalue (1 - |cos t|) / 2 = 4.9e-13 "
+        "below RANK_TOL, which moves c_mixture by 4.9e-13",
+    )
+    def test_grid_point_near_a_revival_matches_the_closed_form(self, capsys):
+        code, out, err = run(capsys, "hidden", "--steps", "2", "--t-max", repr(math.pi + 1.4e-6))
+        assert err == ""
+        assert code == EXIT_OK
+
+    def test_largest_grid_stays_under_its_memory_ceiling(self, tmp_path):
+        """`hidden --steps MAX_STEPS` in a fresh interpreter, reading its own peak RSS."""
+        script = (
+            "import resource, sys\n"
+            "from spinstar.cli import main\n"
+            f"code = main(['hidden', '--steps', '{MAX_STEPS}', '--output', sys.argv[1]])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+            "sys.exit(code)\n"
+        )
+        src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        target = tmp_path / "hidden.csv"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(target)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert len(target.read_text().splitlines()) == MAX_STEPS + 1
+        peak_mb = int(proc.stdout) / 1024  # ru_maxrss is in kB on Linux
+        assert peak_mb < HIDDEN_PEAK_RSS_MB
 
 
 @pytest.mark.parametrize(

@@ -21,6 +21,7 @@ from spinstar import (
     ppt_min_eigenvalue,
     spin_flip_coefficients,
 )
+from spinstar.entanglement import RANK_TOL, SPIN_FLIP, concurrence_2q_stack
 from spinstar.linalg import SIGMA_Y, SIGMA_Z, haar_unitary, tensor
 from spinstar.model import (
     branch_vectors,
@@ -117,6 +118,47 @@ def test_concurrence_2q_werner_family():
         expected_lams = sorted([(1 + 3 * w) / 4] + [(1 - w) / 4] * 3, reverse=True)
         assert np.max(np.abs(lams - expected_lams)) <= 1e-12
         assert concurrence_2q(rho) == pytest.approx(max(0.0, (3 * w - 1) / 2), abs=1e-12)
+
+
+def rank_deficient_states(rng):
+    """Two-qubit states of rank 1 to 4, and states whose smallest eigenvalue
+    sits just below, at or just above RANK_TOL."""
+    mats = [
+        random_density(rng, TWO_QUBITS, rank=rank).mat for rank in (1, 2, 3, 4) for _ in range(6)
+    ]
+    for rank in (1, 2, 3):
+        for eps in (0.5 * RANK_TOL, RANK_TOL, 2.0 * RANK_TOL, 1e-11):
+            base = random_density(rng, TWO_QUBITS, rank=rank).mat
+            null = np.linalg.eigh(base)[1][:, 0]
+            mats.append((1.0 - eps) * base + eps * np.outer(null, null.conj()))
+    rng.shuffle(mats)
+    return np.array(mats)
+
+
+def loop_concurrence(rho):
+    """The one-matrix spin-flip route the stacked kernel replaced, kept as its reference."""
+    vals, vecs = np.linalg.eigh((rho.mat + rho.mat.conj().T) / 2.0)
+    keep = vals > RANK_TOL
+    w = vecs[:, keep] * np.sqrt(vals[keep])
+    tau = w.T @ SPIN_FLIP @ w
+    lams = np.zeros(4)
+    if tau.size:
+        sv = np.linalg.svd(tau, compute_uv=False)
+        lams[: sv.size] = sv
+    return max(0.0, float(lams[0] - lams[1] - lams[2] - lams[3]))
+
+
+def test_stacked_concurrence_matches_each_state_bit_for_bit():
+    mats = rank_deficient_states(np.random.default_rng(21))
+    states = [DensityMatrix(m, TWO_QUBITS) for m in mats]
+    smallest = np.array([rho.eigenvalues[0] for rho in states])
+    # both sides of the cutoff are present
+    assert np.any((0.0 < smallest) & (smallest <= RANK_TOL))
+    assert np.any((RANK_TOL < smallest) & (smallest < 1e-10))
+    single = np.array([concurrence_2q(rho) for rho in states])
+    assert np.array_equal(single, [loop_concurrence(rho) for rho in states])
+    assert np.array_equal(concurrence_2q_stack(mats), single)
+    assert np.array_equal(concurrence_2q_stack(mats.reshape(4, -1, 4, 4)), single.reshape(4, -1))
 
 
 def test_concurrence_2q_rejects_wrong_shape():

@@ -12,6 +12,7 @@ from spinstar.linalg import (
     dagger,
     haar_unitary,
     herm_eig,
+    hermitian_part,
     identity,
     max_abs,
     tensor,
@@ -142,6 +143,33 @@ def test_herm_eig_rejects_non_finite():
     m = np.array([[np.inf, 0], [0, 1]], dtype=complex)
     with pytest.raises(ValueError):
         herm_eig(m)
+
+
+def test_herm_eig_of_a_stack_matches_each_matrix():
+    rng = np.random.default_rng(6)
+    stack = np.array([random_hermitian(rng, 4) for _ in range(6)]).reshape(2, 3, 4, 4)
+    vals, vecs = herm_eig(stack)
+    for idx in np.ndindex(2, 3):
+        single_vals, single_vecs = herm_eig(stack[idx])
+        assert np.array_equal(vals[idx], single_vals)
+        assert np.array_equal(vecs[idx], single_vecs)
+
+
+@pytest.mark.parametrize(
+    "bad", [2.0 * SIGMA_PLUS, np.array([[np.nan, 0.0], [0.0, 1.0]])], ids=["non-hermitian", "nan"]
+)
+def test_hermitian_part_of_a_stack_gives_the_single_matrix_message(bad):
+    stack = np.array([identity(2), SIGMA_X, bad, 3.0 * SIGMA_PLUS])
+    with pytest.raises(ValueError) as single:
+        hermitian_part(bad, "input")
+    with pytest.raises(ValueError) as stacked:
+        hermitian_part(stack, "input")
+    assert str(stacked.value) == str(single.value)
+
+
+def test_hermitian_part_rejects_a_stack_of_non_square_matrices():
+    with pytest.raises(ValueError, match="square"):
+        hermitian_part(np.ones((3, 2, 3)), "input")
 
 
 def test_haar_unitary_is_unitary():

@@ -20,7 +20,7 @@ from spinstar import (
     von_neumann_entropy,
 )
 from spinstar.model import branch_vectors
-from spinstar.states import conjugate_local
+from spinstar.states import conjugate_local, density_spectra
 
 
 def test_dims_spec_accessors():
@@ -101,6 +101,52 @@ def test_density_matrix_rejects_bad_inputs():
         DensityMatrix(np.eye(4) / 4.0, dims)
     with pytest.raises(ValueError, match="finite"):
         DensityMatrix(np.diag([np.nan, 1.0]), dims)
+
+
+def _bad_two_qubit_matrices():
+    good = random_density(np.random.default_rng(8), TWO_QUBITS).mat
+    skew = good.copy()
+    skew[0, 1] += 1e-6
+    return {
+        "non-hermitian": skew,
+        "wrong-trace": 1.1 * good,
+        "negative": np.diag([0.6, 0.5, 0.0, -0.1]).astype(complex),
+    }
+
+
+@pytest.mark.parametrize("kind", ["non-hermitian", "wrong-trace", "negative"])
+def test_density_spectra_of_a_stack_gives_the_density_matrix_message(kind):
+    bad = _bad_two_qubit_matrices()[kind]
+    good = [random_density(np.random.default_rng(seed), TWO_QUBITS).mat for seed in (1, 2, 3)]
+    stack = np.array([good[0], good[1], bad, good[2]]).reshape(2, 2, 4, 4)
+    with pytest.raises(ValueError) as single:
+        DensityMatrix(bad, TWO_QUBITS)
+    with pytest.raises(ValueError) as stacked:
+        density_spectra(stack, TWO_QUBITS)
+    assert str(stacked.value) == str(single.value)
+
+
+def test_density_spectra_reports_the_first_bad_state_of_a_stack():
+    good = random_density(np.random.default_rng(1), TWO_QUBITS).mat
+    first, worse = (np.diag([0.5 + x, 0.5, 0.0, -x]).astype(complex) for x in (0.1, 0.2))
+    with pytest.raises(ValueError) as single:
+        DensityMatrix(first, TWO_QUBITS)
+    with pytest.raises(ValueError) as stacked:
+        density_spectra(np.array([good, first, worse]), TWO_QUBITS)
+    assert str(stacked.value) == str(single.value)
+
+
+def test_density_spectra_of_a_stack_matches_each_state():
+    states = [random_density(np.random.default_rng(seed), TWO_QUBITS) for seed in range(5)]
+    spectra = density_spectra(np.array([rho.mat for rho in states]), TWO_QUBITS)
+    for rho, vals in zip(states, spectra):
+        assert np.array_equal(vals, rho.eigenvalues)
+
+
+def test_density_matrix_refuses_a_stack():
+    rho = random_density(np.random.default_rng(9), TWO_QUBITS)
+    with pytest.raises(ValueError, match="square matrix"):
+        DensityMatrix(np.array([rho.mat, rho.mat]), TWO_QUBITS)
 
 
 def test_pure_state_validation():
