@@ -60,6 +60,15 @@ CASES = [
     ["sweep", "--p", "2"],
     ["bogus"],
     [],
+    ["sweep", "--oracle", "--env-spins", "2", "--steps", "40"],
+    [
+        "sweep", "--oracle", "--env-spins", "10", "--steps", "300", "--p", "0.3", "--alpha", "0.7",
+        "--beta", "1.2", "--log-base", "2",
+    ],
+    [
+        "sweep", "--oracle", "--env-spins", "9", "--coupling", "0.37", "--t-max", "40",
+        "--steps", "257", "--log-base", "e", "--output", "{output}", "--svg", "{svg}",
+    ],
 ]
 
 
