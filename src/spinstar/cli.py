@@ -14,7 +14,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .channels import RucSample, apply_channel, choi_matrix, extract_kraus, ruc_trajectory
-from .entanglement import RANK_TOL, concurrence_2q, inaccessible_concurrence
+from .entanglement import RANK_TOL, concurrence_2q, concurrence_2q_stack, inaccessible_concurrence
 from .markov import (
     CMI_TOL,
     MarkovBlock,
@@ -26,6 +26,7 @@ from .markov import (
 from .model import (
     ENV_LEVELS,
     LARGE_N,
+    PAIR_DIMS,
     BruteForceEvolver,
     SpinStarParams,
     build_initial_state,
@@ -36,7 +37,14 @@ from .model import (
     evolve_sector,
     zero_discord_family,
 )
-from .states import DensityMatrix, DimsSpec, mutual_information, partial_trace
+from .states import (
+    DensityMatrix,
+    DimsSpec,
+    density_spectra,
+    mutual_information,
+    mutual_information_stack,
+    partial_trace,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -51,6 +59,11 @@ SWEEP_CONSISTENCY_TOL = 1e-6
 #: (baths of 2 to 62 spins, omega*t from 1e6 to 1e11).  |lambda|max is the
 #: rung-1 frequency, at most the rung-2 one whose angle `_check_angles` bounds
 ORACLE_MAX_ANGLE = SWEEP_CONSISTENCY_TOL / (16 * sys.float_info.epsilon)
+
+#: grid points per stacked batch of `sweep --oracle`.  Its pair stacks and their
+#: checks take about 1 kB per point, so a batch stays near 0.3 MB whatever the
+#: grid length; 256 to 4096 points per batch ran equally fast
+ORACLE_BATCH = 256
 
 #: largest accepted --steps; `hidden` keeps about 0.15 kB of samples and 0.1 kB
 #: of CSV text per grid point, and its peak resident set at this ceiling is
@@ -243,6 +256,44 @@ def _write_svg(path: str, grid: np.ndarray, series: list[tuple[str, str, np.ndar
         fh.write("\n".join(parts) + "\n")
 
 
+def _sector_columns(
+    params: SpinStarParams, times: np.ndarray, base: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """c_numeric and mi at each time from the Dicke-ladder sector propagator."""
+    rho0 = build_initial_state(params)
+    c_numeric, mi = [], []
+    # one call each per point: spinbench's test_traced_sweep_gives_exact_counts counts them
+    for t in times:
+        rho_pair = evolve_sector(rho0, t, params)
+        c_numeric.append(concurrence_2q(rho_pair))
+        mi.append(mutual_information(rho_pair, (("A",), ("B",)), base))
+    return np.array(c_numeric), np.array(mi)
+
+
+def _oracle_columns(
+    evolver: BruteForceEvolver, times: np.ndarray, base: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """c_numeric and mi at each time from full-space evolution, in stacked batches."""
+    c_numeric, mi = [], []
+    for start in range(0, len(times), ORACLE_BATCH):
+        pairs = evolver.reduced_states(times[start : start + ORACLE_BATCH])
+        spectra = density_spectra(pairs, PAIR_DIMS)
+        c_numeric.append(concurrence_2q_stack(pairs))
+        mi.append(mutual_information_stack(pairs, spectra, base))
+    return np.concatenate(c_numeric), np.concatenate(mi)
+
+
+def _sweep_failure(grid: np.ndarray, c_closed: np.ndarray, c_numeric: np.ndarray) -> str | None:
+    """The first grid point where the closed form and the numeric column disagree, or None."""
+    bad = np.abs(c_closed - c_numeric) > SWEEP_CONSISTENCY_TOL
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    return (
+        f"omega*t={grid[i]:.6g}: closed form {c_closed[i]:.12g} vs numeric {c_numeric[i]:.12g}"
+    )
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
         params = _params_from(args)
@@ -257,30 +308,24 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     base = _LOG_BASES[args.log_base]
-    rho0 = build_initial_state(params)
+    times = grid / params.omega
+    c_closed = np.array([concurrence_closed_form(params, t) for t in times.tolist()])
+    if evolver is None:
+        c_numeric, mi = _sector_columns(params, times, base)
+    else:
+        c_numeric, mi = _oracle_columns(evolver, times, base)
+    failure = _sweep_failure(grid, c_closed, c_numeric)
+    if failure is not None:
+        print(f"consistency failure at {failure}", file=sys.stderr)
+        return EXIT_CHECK
     c_abe = concurrence_a_be(params)
     rows = [SWEEP_HEADER]
-    c_numeric_series, mi_series = [], []
-    for omega_t in grid:
-        t = omega_t / params.omega
-        c_closed = concurrence_closed_form(params, t)
-        rho_pair = evolver.reduced_state(t) if evolver is not None else evolve_sector(rho0, t, params)
-        c_numeric = concurrence_2q(rho_pair)
-        if abs(c_closed - c_numeric) > SWEEP_CONSISTENCY_TOL:
-            print(
-                f"consistency failure at omega*t={omega_t:.6g}: closed form {c_closed:.12g} "
-                f"vs numeric {c_numeric:.12g}",
-                file=sys.stderr,
-            )
-            return EXIT_CHECK
-        mi = mutual_information(rho_pair, (("A",), ("B",)), base)
-        c_inaccessible = inaccessible_concurrence(c_abe, c_numeric)
-        c_numeric_series.append(c_numeric)
-        mi_series.append(mi)
+    for omega_t, closed, numeric, mi_t in zip(
+        grid.tolist(), c_closed.tolist(), c_numeric.tolist(), mi.tolist()
+    ):
+        c_inaccessible = inaccessible_concurrence(c_abe, numeric)
         rows.append(
-            ",".join(
-                _fmt(v) for v in (omega_t, c_closed, c_numeric, mi, c_abe, c_inaccessible)
-            )
+            ",".join(_fmt(v) for v in (omega_t, closed, numeric, mi_t, c_abe, c_inaccessible))
         )
     try:
         _emit(rows, args.output)
@@ -289,8 +334,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 args.svg,
                 grid,
                 [
-                    ("pair concurrence", "", np.array(c_numeric_series)),
-                    ("mutual information", "8 4", np.array(mi_series)),
+                    ("pair concurrence", "", c_numeric),
+                    ("mutual information", "8 4", mi),
                     ("whole-cut concurrence", "2 3", np.full(len(grid), c_abe)),
                 ],
             )

@@ -31,6 +31,7 @@ import math
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,8 +69,17 @@ MAX_BATH_SPINS = 62
 #: default dims for states on (isolated qubit, coupled qubit, effective bath)
 PAIR_ENV_DIMS = DimsSpec(("A", 2), ("B", 2), ("E", ENV_LEVELS))
 
+#: dims of the reduced (A, B) pair
+PAIR_DIMS = DimsSpec(("A", 2), ("B", 2))
+
 #: largest tolerated population outside the truncated bath ladder
 TRUNCATION_TOL = 1e-12
+
+#: amplitudes (grid points times basis states) per stacked batch of
+#: `BruteForceEvolver.reduced_states`.  Its working arrays take about 0.36 kB per
+#: amplitude, so a batch stays near 0.7 MB at any bath size; 2048 to 16384 ran
+#: equally fast, and larger batches only raised the peak resident set
+ORACLE_CHUNK_AMPLITUDES = 2048
 
 
 @dataclass(frozen=True)
@@ -112,17 +122,32 @@ class SpinStarParams:
     def is_large_n(self) -> bool:
         return self.env_spins == LARGE_N
 
-    @property
+    @cached_property
     def omega(self) -> float:
         """Collective frequency g sqrt(N); equals g in the infinite-bath limit."""
         if self.is_large_n:
             return self.coupling
         return self.coupling * math.sqrt(self.env_spins)
 
-    @property
+    @cached_property
     def omega1(self) -> float:
         """One-excitation frequency g sqrt(2N - 2); sqrt(2) Omega for LARGE_N."""
         return self.mode_frequency(1)
+
+    @cached_property
+    def _closed_form_weights(self) -> tuple[float, float, float, float, float, float]:
+        """The time-independent weights a, b, c, d, e, f of `closed_form_terms`."""
+        p = self.p
+        sin_a, cos_a = math.sin(self.alpha), math.cos(self.alpha)
+        sin_b, cos_b = math.sin(self.beta), math.cos(self.beta)
+        return (
+            (1.0 - p) * sin_b**2,
+            (1.0 - p) * cos_b**2,
+            0.5 * (1.0 - p) * math.sin(2.0 * self.beta),
+            p * sin_a**2,
+            0.5 * p * math.sin(2.0 * self.alpha),
+            p * cos_a**2,
+        )
 
     def mode_frequency(self, n: int) -> float:
         """Rotation frequency of the (|1_B, n>, |0_B, n+1>) pair.
@@ -258,15 +283,7 @@ def closed_form_terms(params: SpinStarParams, t: float) -> tuple[float, float]:
     """
     if not 0.0 <= t < math.inf:
         raise ValueError(f"time must be finite and non-negative, got {t!r}")
-    p = params.p
-    sin_a, cos_a = math.sin(params.alpha), math.cos(params.alpha)
-    sin_b, cos_b = math.sin(params.beta), math.cos(params.beta)
-    a = (1.0 - p) * sin_b**2
-    b = (1.0 - p) * cos_b**2
-    c = 0.5 * (1.0 - p) * math.sin(2.0 * params.beta)
-    d = p * sin_a**2
-    e = 0.5 * p * math.sin(2.0 * params.alpha)
-    f = p * cos_a**2
+    a, b, c, d, e, f = params._closed_form_weights
     angle, angle1 = params.omega * t, params.omega1 * t
     cos_w, sin_w = math.cos(angle), math.sin(angle)
     cos_w1, sin_w1 = math.cos(angle1), math.sin(angle1)
@@ -409,16 +426,32 @@ class BruteForceEvolver:
         bath_strings, self._bath_index = np.unique(bath, return_inverse=True)
         self._bath_count = bath_strings.size
 
+    def reduced_states(self, times: Sequence[float] | np.ndarray) -> np.ndarray:
+        """(T, 4, 4) stack of the reduced pair states at T times, bath traced out.
+
+        The matrices are not validated; `density_spectra` checks a stack.
+        The grid runs in batches of at most ORACLE_CHUNK_AMPLITUDES / D
+        points for a basis of D bit strings, and each matrix has the same
+        bits whatever the batch.
+        """
+        times = np.asarray(times, dtype=float)
+        negative = times < 0.0
+        if negative.any():
+            raise ValueError(f"time must be non-negative, got {float(times[negative][0])!r}")
+        rho = np.zeros((times.size, 4, 4), dtype=complex)
+        chunk = max(1, ORACLE_CHUNK_AMPLITUDES // self.basis.size)
+        for start in range(0, times.size, chunk):
+            t = times[start : start + chunk]
+            z = self._coeffs * np.exp(-1j * self.eigenvalues * t[:, None, None, None])
+            # the eigenbasis is real: rotate back the real and imaginary parts
+            evolved = z.real @ self._vecs.T + 1j * (z.imag @ self._vecs.T)
+            m = np.zeros((t.size, 2, 4, self._bath_count), dtype=complex)
+            m[:, :, self._rows, self._bath_index] = evolved
+            batch = rho[start : start + t.size]
+            for weight, mk in zip(self._weights, m.swapaxes(0, 1)):
+                batch += weight * (mk @ dagger(mk))
+        return rho
+
     def reduced_state(self, t: float) -> DensityMatrix:
-        """Reduced pair state at time t, all bath spins traced out."""
-        if t < 0.0:
-            raise ValueError(f"time must be non-negative, got {t!r}")
-        z = self._coeffs * np.exp(-1j * self.eigenvalues * t)
-        # the eigenbasis is real: rotate back the real and imaginary parts
-        evolved = z.real @ self._vecs.T + 1j * (z.imag @ self._vecs.T)
-        m = np.zeros((2, 4, self._bath_count), dtype=complex)
-        m[:, self._rows, self._bath_index] = evolved
-        rho = np.zeros((4, 4), dtype=complex)
-        for weight, mk in zip(self._weights, m):
-            rho += weight * (mk @ dagger(mk))
-        return DensityMatrix(rho, DimsSpec(("A", 2), ("B", 2)))
+        """Reduced pair state at time t, all bath spins traced out: `reduced_states` at t."""
+        return DensityMatrix(self.reduced_states([t])[0], PAIR_DIMS)

@@ -21,21 +21,86 @@ from spinstar.cli import (
     SWEEP_HEADER,
     main,
 )
-from spinstar.model import MAX_BATH_SPINS
+from spinstar.model import MAX_BATH_SPINS, SpinStarParams, concurrence_closed_form
 
 
 #: ceiling on the peak resident set of `hidden --steps MAX_STEPS`, in MB: the
 #: per-point route peaked at 75.0 MB and the batched one at 72.5 MB, both with
 #: one BLAS thread on a 2-core x86-64 Linux VM (Python 3.11, numpy 2.4.6,
-#: OpenBLAS).  About 30 MB of it is the interpreter and numpy, so the margin
-#: holds for this configuration only
+#: OpenBLAS); read as VmHWM, the batched one peaks at 69-72 MB.  About 30 MB
+#: of it is the interpreter and numpy, so the margin holds for this
+#: configuration only
 HIDDEN_PEAK_RSS_MB = 75
+
+#: ceiling on the peak resident set of ORACLE_RSS_ARGV, in MB, measured as for
+#: HIDDEN_PEAK_RSS_MB: 39.5 MB point by point, 39.9 MB in batches, 49.0 MB with
+#: the whole grid in one pair stack and 62.2 MB with each batch's amplitudes
+#: in one array.  All of the grid's amplitudes at once would need about 0.5 GB
+ORACLE_PEAK_RSS_MB = 44
+
+#: an oracle grid long enough that unbatched stacks would show in the peak
+ORACLE_RSS_ARGV = ("sweep", "--oracle", "--env-spins", "22", "--steps", "8000")
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def peak_rss_mb(argv, target):
+    """Run `argv` with --output target in a fresh interpreter; its peak RSS in MB.
+
+    The interpreter reads its own VmHWM on Linux.  Its ru_maxrss would not
+    do: exec carries over the peak of the process that spawned it, so the
+    reading would include this test run.
+    """
+    script = (
+        "import sys\n"
+        "from spinstar.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    print(next(line.split()[1] for line in fh if line.startswith('VmHWM:')))\n"
+        "sys.exit(code)\n"
+    )
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        # BLAS thread buffers grow with the core count; one thread keeps
+        # the peak a property of this code rather than of the runner
+        **{k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+    }
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv, "--output", str(target)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    return int(proc.stdout) / 1024
+
+
+def corrupt_rows(monkeypatch, name, rows):
+    """Shift the numeric concurrence of the k-th given grid row by k * 1e-5.
+
+    `cli.<name>` is patched whether it returns one value per call or a
+    stack; the shifted values are returned by row.
+    """
+    original = getattr(cli, name)
+    shifted = {}
+    done = 0
+
+    def corrupted(arg):
+        nonlocal done
+        values = np.array(original(arg), dtype=float, ndmin=1)
+        for k, row in enumerate(rows, start=1):
+            if done <= row < done + values.size:
+                values[row - done] += k * 1e-5
+                shifted[row] = float(values[row - done])
+        done += values.size
+        return values if values.ndim and name.endswith("_stack") else float(values[0])
+
+    monkeypatch.setattr(cli, name, corrupted)
+    return shifted
 
 
 class TestSweep:
@@ -149,6 +214,38 @@ class TestSweep:
         pins at one row."""
         code, _, err = run(capsys, "sweep", "--p", "1e-9")
         assert code == EXIT_OK, err
+
+    @pytest.mark.parametrize(
+        "name, flags", [("concurrence_2q", ()), ("concurrence_2q_stack", ("--oracle",))]
+    )
+    def test_first_inconsistent_row_exits_3(self, capsys, monkeypatch, name, flags):
+        """Rows past the oracle's first batch are shifted off the closed form,
+        the later one further; the first one is reported, and nothing is written."""
+        first = cli.ORACLE_BATCH + 3
+        shifted = corrupt_rows(monkeypatch, name, [first, first + 2])
+        steps, t_max = cli.ORACLE_BATCH + 10, 7.0
+        code, out, err = run(
+            capsys, "sweep", "--env-spins", "2", "--steps", str(steps), "--t-max", str(t_max),
+            *flags,
+        )
+        assert code == EXIT_CHECK
+        assert out == ""
+        params = SpinStarParams(env_spins=2)
+        omega_t = np.linspace(0.0, t_max, steps)[first]
+        closed = concurrence_closed_form(params, omega_t / params.omega)
+        assert err == (
+            f"consistency failure at omega*t={omega_t:.6g}: closed form {closed:.12g} "
+            f"vs numeric {shifted[first]:.12g}\n"
+        )
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="reads VmHWM, which only Linux reports"
+    )
+    def test_long_oracle_grid_stays_under_its_memory_ceiling(self, tmp_path):
+        target = tmp_path / "oracle.csv"
+        peak_mb = peak_rss_mb(ORACLE_RSS_ARGV, target)
+        assert len(target.read_text().splitlines()) == int(ORACLE_RSS_ARGV[-1]) + 1
+        assert peak_mb < ORACLE_PEAK_RSS_MB
 
     @pytest.mark.parametrize(
         "argv",
@@ -338,33 +435,13 @@ class TestHidden:
         assert out.startswith(HIDDEN_HEADER + "\n")
 
     @pytest.mark.skipif(
-        not sys.platform.startswith("linux"), reason="reads ru_maxrss in kB, as Linux reports it"
+        not sys.platform.startswith("linux"), reason="reads VmHWM, which only Linux reports"
     )
     def test_largest_grid_stays_under_its_memory_ceiling(self, tmp_path):
         """`hidden --steps MAX_STEPS` in a fresh interpreter, reading its own peak RSS."""
-        script = (
-            "import resource, sys\n"
-            "from spinstar.cli import main\n"
-            f"code = main(['hidden', '--steps', '{MAX_STEPS}', '--output', sys.argv[1]])\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
-            "sys.exit(code)\n"
-        )
-        src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-        env = {
-            **os.environ,
-            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-            # BLAS thread buffers grow with the core count; one thread keeps
-            # the peak a property of this code rather than of the runner
-            **{k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
-        }
         target = tmp_path / "hidden.csv"
-        proc = subprocess.run(
-            [sys.executable, "-c", script, str(target)],
-            capture_output=True, text=True, env=env, timeout=300,
-        )
-        assert proc.returncode == EXIT_OK, proc.stderr
+        peak_mb = peak_rss_mb(("hidden", "--steps", str(MAX_STEPS)), target)
         assert len(target.read_text().splitlines()) == MAX_STEPS + 1
-        peak_mb = int(proc.stdout) / 1024
         assert peak_mb < HIDDEN_PEAK_RSS_MB
 
 

@@ -27,7 +27,13 @@ from spinstar import (
     sector_unitary,
 )
 from spinstar.linalg import SIGMA_PLUS, dagger, identity, tensor
-from spinstar.model import ENV_LEVELS, MAX_BATH_SPINS, PAIR_ENV_DIMS, ZeroDiscordFamily
+from spinstar.model import (
+    ENV_LEVELS,
+    MAX_BATH_SPINS,
+    ORACLE_CHUNK_AMPLITUDES,
+    PAIR_ENV_DIMS,
+    ZeroDiscordFamily,
+)
 from test_acceptance import GRID, PAIR_CUT, WINDOW_7
 
 # frozen against scipy.optimize.minimize_scalar on the closed form at the
@@ -218,6 +224,19 @@ class TestClosedForm:
     def test_rejects_infinite_time(self):
         with pytest.raises(ValueError, match="finite"):
             concurrence_closed_form(default_params(), math.inf)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_terms_match_the_per_point_formula_bit_for_bit(self, seed):
+        """The time-independent weights are computed once per parameter set
+        with the expressions the per-point formula used."""
+        rng = np.random.default_rng(seed)
+        p = float(rng.choice([0.0, 1.0, rng.random()]))
+        alpha, beta = rng.uniform(0.0, 2.0 * math.pi, size=2)
+        params = default_params(
+            env_spins=int(rng.integers(2, 5000)), coupling=1.3, p=p, alpha=alpha, beta=beta
+        )
+        for t in rng.uniform(0.0, 60.0, size=50):
+            assert closed_form_terms(params, float(t)) == per_point_terms(params, float(t))
 
     def test_first_term_never_wins_at_default_point(self):
         """With all populations equal the geometric-mean penalty dominates the
@@ -416,7 +435,61 @@ class TestFullHamiltonian:
                 BruteForceEvolver(default_params(env_spins=n_spins))
 
 
+def per_point_terms(params, t):
+    """`closed_form_terms` with every weight recomputed at each point."""
+    p = params.p
+    sin_a, cos_a = math.sin(params.alpha), math.cos(params.alpha)
+    sin_b, cos_b = math.sin(params.beta), math.cos(params.beta)
+    a = (1.0 - p) * sin_b**2
+    b = (1.0 - p) * cos_b**2
+    c = 0.5 * (1.0 - p) * math.sin(2.0 * params.beta)
+    d = p * sin_a**2
+    e = 0.5 * p * math.sin(2.0 * params.alpha)
+    f = p * cos_a**2
+    omega = params.coupling * math.sqrt(params.env_spins)
+    omega1 = params.coupling * math.sqrt(2.0 * (params.env_spins - 1.0))
+    angle, angle1 = omega * t, omega1 * t
+    cos_w, sin_w = math.cos(angle), math.sin(angle)
+    cos_w1, sin_w1 = math.cos(angle1), math.sin(angle1)
+    term1 = abs(e * cos_w1 * cos_w) - math.sqrt(
+        (b * cos_w**2 + f * sin_w**2) * (a + d * sin_w1**2)
+    )
+    term2 = abs(c * cos_w) - math.sqrt((b * sin_w**2 + f * cos_w**2) * (d * cos_w1**2))
+    return term1, term2
+
+
+def loop_reduced_state(evolver, t):
+    """The oracle's pair state at one time, rotated back on its own."""
+    z = evolver._coeffs * np.exp(-1j * evolver.eigenvalues * t)
+    evolved = z.real @ evolver._vecs.T + 1j * (z.imag @ evolver._vecs.T)
+    m = np.zeros((2, 4, evolver._bath_count), dtype=complex)
+    m[:, evolver._rows, evolver._bath_index] = evolved
+    rho = np.zeros((4, 4), dtype=complex)
+    for weight, mk in zip(evolver._weights, m):
+        rho += weight * (mk @ dagger(mk))
+    return rho
+
+
 class TestBruteForceEvolver:
+    @pytest.mark.parametrize("n_spins", [2, 7, 62])
+    def test_stacked_states_match_each_point_bit_for_bit(self, n_spins):
+        """Every batch size gives each point the bits of its own rotation."""
+        params = default_params(env_spins=n_spins, coupling=0.8, p=0.3, alpha=0.7, beta=1.2)
+        evolver = BruteForceEvolver(params)
+        chunk = max(1, ORACLE_CHUNK_AMPLITUDES // evolver.basis.size)
+        times = np.linspace(0.0, 40.0, 2 * chunk + 3) / params.omega
+        stacked = evolver.reduced_states(times)
+        assert stacked.shape == (times.size, 4, 4)
+        for t, rho in zip(times, stacked):
+            expected = loop_reduced_state(evolver, t)
+            assert np.array_equal(rho, expected)
+            assert np.array_equal(evolver.reduced_state(t).mat, expected)
+
+    def test_stacked_states_refuse_a_negative_time(self):
+        evolver = BruteForceEvolver(default_params(env_spins=2))
+        with pytest.raises(ValueError, match=r"^time must be non-negative, got -2\.0$"):
+            evolver.reduced_states([0.0, 1.0, -2.0, -3.0])
+
     def test_time_zero_matches_branch_mixture(self):
         params = default_params(env_spins=4, p=0.3, alpha=0.5, beta=1.1)
         pair = BruteForceEvolver(params).reduced_state(0.0)

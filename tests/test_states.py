@@ -19,8 +19,8 @@ from spinstar import (
     partial_trace,
     von_neumann_entropy,
 )
-from spinstar.model import branch_vectors
-from spinstar.states import conjugate_local, density_spectra
+from spinstar.model import BruteForceEvolver, branch_vectors, evolve_sector
+from spinstar.states import conjugate_local, density_spectra, mutual_information_stack
 
 
 def test_dims_spec_accessors():
@@ -304,6 +304,65 @@ def test_mutual_information_solves_only_the_reduced_spectra(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     mutual_information(rho, (("A",), ("B",)))
     assert len(solves) == 2
+
+
+def _edge_pairs() -> list[np.ndarray]:
+    """Two-qubit states of rank 1 to 4, among them the model's p = 0 and p = 1 pairs."""
+    rng = np.random.default_rng(21)
+    pairs = [density_from_vec(bell_pair(kind), TWO_QUBITS).mat for kind in ("phi+", "psi-")]
+    pairs.append(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
+    pairs += [random_density(rng, TWO_QUBITS, rank).mat for rank in (1, 2, 3, 4)]
+    for p in (0.0, 1.0):
+        params = SpinStarParams(env_spins=5, p=p, alpha=0.7, beta=1.2)
+        pairs += list(BruteForceEvolver(params).reduced_states([0.0, 0.9, 2.5]))
+        pairs.append(evolve_sector(build_initial_state(params), 1.7, params).mat)
+    return pairs
+
+
+@pytest.mark.parametrize("base", [2, math.e, 10])
+def test_stacked_mutual_information_matches_each_state_bit_for_bit(base):
+    mats = np.array(_edge_pairs())
+    stacked = mutual_information_stack(mats, density_spectra(mats, TWO_QUBITS), base)
+    for mat, value in zip(mats, stacked.tolist()):
+        single = mutual_information(DensityMatrix(mat, TWO_QUBITS), (("A",), ("B",)), base)
+        assert value == single
+
+
+def _stacked_and_single_failures(bad: list[DensityMatrix]) -> tuple[str, str]:
+    """Messages of the stacked and scalar mutual information on corrupted states.
+
+    The stack is one good state followed by `bad`; the scalar message is that
+    of the first bad state.
+    """
+    good = random_density(np.random.default_rng(3), TWO_QUBITS)
+    states = [good, *bad]
+    with pytest.raises((ValueError, ArithmeticError)) as single:
+        mutual_information(bad[0], (("A",), ("B",)))
+    with pytest.raises(type(single.value)) as stacked:
+        mutual_information_stack(
+            np.array([rho.mat for rho in states]), np.array([rho.eigenvalues for rho in states])
+        )
+    return str(stacked.value), str(single.value)
+
+
+def test_stacked_mutual_information_reports_the_first_state_below_the_entropy_floor():
+    # a looser construction floor admits joint states that entropies refuse,
+    # while both marginals stay positive
+    mats = [np.diag([0.5, 0.25, 0.25 + x, -x]).astype(complex) for x in (1e-8, 1e-7)]
+    bad = [DensityMatrix(mat, TWO_QUBITS, eig_floor=1e-6) for mat in mats]
+    stacked, single = _stacked_and_single_failures(bad)
+    assert single == "state eigenvalue -1.000e-08 below floor -1.0e-09"
+    assert stacked == single
+
+
+def test_stacked_mutual_information_reports_the_first_negative_value():
+    # a product state given the spectrum of a mixed one: S(AB) exceeds S(A) + S(B)
+    bad = [DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex), TWO_QUBITS) for _ in "ab"]
+    bad[0].eigenvalues = np.full(4, 0.25)
+    bad[1].eigenvalues = np.array([0.0, 0.0, 0.5, 0.5])
+    stacked, single = _stacked_and_single_failures(bad)
+    assert single == "mutual information -2.000e+00 below -1e-9; numeric corruption"
+    assert stacked == single
 
 
 def test_mutual_information_rejects_bad_cuts():
