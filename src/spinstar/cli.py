@@ -320,9 +320,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return EXIT_CHECK
     c_abe = concurrence_a_be(params)
     rows = [SWEEP_HEADER]
-    for omega_t, closed, numeric, mi_t in zip(
-        grid.tolist(), c_closed.tolist(), c_numeric.tolist(), mi.tolist()
-    ):
+    # floats made row by row: whole-column lists would outlive the rows they feed
+    columns = (map(float, column) for column in (grid, c_closed, c_numeric, mi))
+    for omega_t, closed, numeric, mi_t in zip(*columns):
         c_inaccessible = inaccessible_concurrence(c_abe, numeric)
         rows.append(
             ",".join(_fmt(v) for v in (omega_t, closed, numeric, mi_t, c_abe, c_inaccessible))

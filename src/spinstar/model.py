@@ -77,9 +77,10 @@ TRUNCATION_TOL = 1e-12
 
 #: amplitudes (grid points times basis states) per stacked batch of
 #: `BruteForceEvolver.reduced_states`.  Its working arrays take about 0.36 kB per
-#: amplitude, so a batch stays near 0.7 MB at any bath size; 2048 to 16384 ran
-#: equally fast, and larger batches only raised the peak resident set
-ORACLE_CHUNK_AMPLITUDES = 2048
+#: amplitude, so a batch stays near 0.4 MB at any bath size; 1024 to 16384 ran
+#: about equally fast, 512 slower, and larger batches only raised the peak
+#: resident set
+ORACLE_CHUNK_AMPLITUDES = 1024
 
 
 @dataclass(frozen=True)

@@ -33,8 +33,8 @@ from spinstar.model import MAX_BATH_SPINS, SpinStarParams, concurrence_closed_fo
 HIDDEN_PEAK_RSS_MB = 75
 
 #: ceiling on the peak resident set of ORACLE_RSS_ARGV, in MB, measured as for
-#: HIDDEN_PEAK_RSS_MB: 39.5 MB point by point, 39.9 MB in batches, 49.0 MB with
-#: the whole grid in one pair stack and 62.2 MB with each batch's amplitudes
+#: HIDDEN_PEAK_RSS_MB: 39.4 MB point by point, 39.0 MB in batches, 49.2 MB with
+#: the whole grid in one pair stack and 62.4 MB with each batch's amplitudes
 #: in one array.  All of the grid's amplitudes at once would need about 0.5 GB
 ORACLE_PEAK_RSS_MB = 44
 
@@ -97,7 +97,7 @@ def corrupt_rows(monkeypatch, name, rows):
                 values[row - done] += k * 1e-5
                 shifted[row] = float(values[row - done])
         done += values.size
-        return values if values.ndim and name.endswith("_stack") else float(values[0])
+        return values if name.endswith("_stack") else float(values[0])
 
     monkeypatch.setattr(cli, name, corrupted)
     return shifted
