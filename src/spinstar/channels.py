@@ -26,8 +26,8 @@ from .entanglement import (
     convexity_failure,
     hidden_entanglement_stack,
 )
-from .linalg import check_orthonormal, dagger, identity, max_abs
-from .model import SpinStarParams, ZeroDiscordFamily, sector_unitary
+from .linalg import check_orthonormal, dagger, identity, max_abs, ordered_sum, projectors
+from .model import SpinStarParams, ZeroDiscordFamily, evolve_sector_stack, sector_unitaries
 from .states import (
     DensityMatrix,
     check_probabilities,
@@ -35,13 +35,17 @@ from .states import (
     conjugate_local,
     density_spectra,
     local_conjugates,
+    local_lift,
+    partial_trace,
 )
 
 __all__ = [
     "KrausChannel",
+    "kraus_operators",
     "extract_kraus",
     "apply_channel",
     "choi_matrix",
+    "kraus_audit",
     "discord_zero_check",
     "RandomUnitaryChannel",
     "apply_random_unitary",
@@ -52,6 +56,10 @@ __all__ = [
 
 #: Kraus completeness must hold within this tolerance
 COMPLETENESS_TOL = 1e-9
+
+#: trace tolerance and eigenvalue floor of a channel's output state
+CHANNEL_TRACE_TOL = 1e-9
+CHANNEL_EIG_FLOOR = 1e-8
 
 #: ensemble concurrence of a random-unitary trajectory may drift this far from its start
 DRIFT_TOL = 1e-9
@@ -64,77 +72,109 @@ RUC_CHUNK = 256
 #: branch weights of the phase dial
 PHASE_DIAL_WEIGHTS = (0.5, 0.5)
 
+
 class KrausChannel:
     """Operator-sum map with a verified completeness relation.
 
+    `operators` is the read-only (K, d, d) stack of the K operators, and
     `residual` is the max-entry deviation of sum_k K^dagger K from the identity.
     """
 
     __slots__ = ("operators", "residual")
 
-    def __init__(self, operators: Sequence[np.ndarray]):
-        ops = tuple(np.array(k, dtype=complex) for k in operators)
+    def __init__(self, operators: Sequence[np.ndarray] | np.ndarray):
+        ops = tuple(np.asarray(k, dtype=complex) for k in operators)
         if not ops:
             raise ValueError("at least one Kraus operator is required")
         dim = ops[0].shape[0]
         for k in ops:
             if k.ndim != 2 or k.shape != (dim, dim):
                 raise ValueError(f"Kraus operators must all be {dim}x{dim}, got {k.shape}")
-        residual = max_abs(
-            sum(dagger(k) @ k for k in ops) - identity(dim)
-        )
-        if not residual <= COMPLETENESS_TOL:
-            raise ValueError(
-                f"Kraus completeness residual {residual:.3e} exceeds {COMPLETENESS_TOL:.1e}"
-            )
-        for k in ops:
-            k.setflags(write=False)
-        self.operators = ops
-        self.residual = residual
+        stack = np.array(ops)
+        self.residual = float(_completeness_residuals(stack))
+        stack.setflags(write=False)
+        self.operators = stack
 
     @property
     def dim(self) -> int:
-        return self.operators[0].shape[0]
+        return self.operators.shape[-1]
 
     def __len__(self) -> int:
         return len(self.operators)
 
 
-def extract_kraus(family: ZeroDiscordFamily, params: SpinStarParams, t: float) -> KrausChannel:
-    """Kraus operators of the reduced pair dynamics at time t.
+def _completeness_residuals(ops: np.ndarray) -> np.ndarray:
+    """Max-entry deviation of sum_k K^dagger K from the identity for a (..., K, d, d) stack.
 
-    Each operator is (I_A x <k| U |mu_i>) projected onto branch i, with k
-    running over one bath level beyond the flag truncation because the
-    propagator can raise the bath by a single excitation.  Completeness of
-    the result certifies that the truncation spans every reachable state.
+    The products are summed in operator order, and a residual above
+    COMPLETENESS_TOL (or NaN) raises for the first offending stack.
+    """
+    total = ordered_sum(dagger(ops) @ ops, -3, start=0)
+    residuals = np.abs(total - identity(ops.shape[-1])).max(axis=(-2, -1))
+    bad = ~(residuals <= COMPLETENESS_TOL)
+    if bad.any():
+        residual = np.ravel(residuals)[np.argmax(np.ravel(bad))]
+        raise ValueError(
+            f"Kraus completeness residual {residual:.3e} exceeds {COMPLETENESS_TOL:.1e}"
+        )
+    return residuals
+
+
+def kraus_operators(
+    family: ZeroDiscordFamily, unitaries: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Kraus operators of the reduced pair dynamics under each of T sector propagators.
+
+    unitaries is a (T, 2L, 2L) `sector_unitaries` stack on L = flag_dim + 1
+    bath levels, one beyond the flag truncation because the propagator can
+    raise the bath by a single excitation.  Member i and level k give the
+    operator (I_A x <k| U |mu_i>) projected onto branch i.  Returns the
+    (T, members x L, 4, 4) operators, member-major, and their (T,)
+    completeness residuals; completeness certifies that the truncation spans
+    every reachable state, and a failing time raises.
     """
     if family.system_states[0].size != 4:
         raise ValueError("Kraus extraction expects two-qubit system states")
     levels = family.flag_dim + 1
-    u = sector_unitary(params, t, levels=levels)
-    blocks = u.reshape(2, levels, 2, levels)
-    operators = []
-    for psi, flag in zip(family.system_states, family.env_flags):
-        padded = np.zeros(levels, dtype=complex)
-        padded[: flag.size] = flag
-        projector = np.outer(psi, psi.conj())
-        for k in range(levels):
-            b_map = np.tensordot(blocks[:, k, :, :], padded, axes=([2], [0]))
-            operators.append(np.kron(identity(2), b_map) @ projector)
+    if unitaries.shape[1:] != (2 * levels, 2 * levels):
+        raise ValueError(f"need {2 * levels}x{2 * levels} propagators, got {unitaries.shape}")
+    blocks = unitaries.reshape(-1, 2, levels, 2, levels)
+    # b[t, i, k] = <k| U(t) |mu_i>, a 2 x 2 map on qubit B
+    b_maps = (blocks @ family.padded_flags(levels).T).transpose(0, 4, 2, 1, 3)
+    ops = local_lift(b_maps) @ projectors(family.system_states)[:, None]
+    ops = ops.reshape(len(unitaries), -1, 4, 4)
     try:
-        return KrausChannel(operators)
+        return ops, _completeness_residuals(ops)
     except ValueError as exc:
         raise ValueError(f"bath truncation too small for an exact operator sum: {exc}") from exc
+
+
+def extract_kraus(family: ZeroDiscordFamily, params: SpinStarParams, t: float) -> KrausChannel:
+    """Kraus operators of the reduced pair dynamics at time t: `kraus_operators` at t."""
+    unitaries = sector_unitaries(params, [t], family.flag_dim + 1)
+    return KrausChannel(kraus_operators(family, unitaries)[0][0])
+
+
+def _kraus_outputs(ops: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """sum_k K mat K^dagger for each (..., K, d, d) operator stack, summed in operator order.
+
+    The outputs are not validated; `density_spectra` checks a stack.
+    """
+    return ordered_sum(ops @ mat @ dagger(ops), -3, start=0)
 
 
 def apply_channel(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     """Apply an operator-sum map to a state of matching dimension."""
     if rho.dim != channel.dim:
         raise ValueError(f"state dimension {rho.dim} does not match channel {channel.dim}")
-    out = np.zeros_like(rho.mat)
-    for k in channel.operators:
-        out = out + k @ rho.mat @ dagger(k)
-    return DensityMatrix(out, rho.dims, trace_tol=1e-9, eig_floor=1e-8)
+    out = _kraus_outputs(channel.operators, rho.mat)
+    return DensityMatrix(out, rho.dims, trace_tol=CHANNEL_TRACE_TOL, eig_floor=CHANNEL_EIG_FLOOR)
+
+
+def _choi_matrices(ops: np.ndarray) -> np.ndarray:
+    """Choi matrix of each (..., K, d, d) operator stack, as `choi_matrix` builds it."""
+    vecs = ops.swapaxes(-1, -2).reshape(ops.shape[:-2] + (-1,))
+    return ordered_sum(vecs[..., :, None] * vecs.conj()[..., None, :], -3, start=0)
 
 
 def choi_matrix(channel: KrausChannel) -> np.ndarray:
@@ -143,12 +183,34 @@ def choi_matrix(channel: KrausChannel) -> np.ndarray:
     Positive semidefiniteness of this matrix is equivalent to complete
     positivity of the map.
     """
-    dim = channel.dim
-    choi = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for k in channel.operators:
-        v = k.T.reshape(-1)
-        choi += np.outer(v, v.conj())
-    return choi
+    return _choi_matrices(channel.operators)
+
+
+def kraus_audit(
+    family: ZeroDiscordFamily, params: SpinStarParams, times: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Evidence that the family's reduced dynamics is a channel, at each of T times.
+
+    Returns three (T,) arrays: the completeness residual, the smallest Choi
+    eigenvalue, and the max-entry gap between the channel applied to the
+    family's pair state and the traced sector evolution of its mixture.  The
+    times run as one stack, and each value has the bits of the one-time
+    route through `extract_kraus`, `choi_matrix`, `apply_channel` and
+    `evolve_sector`.  Both output states are validated as those would be.
+    """
+    levels = family.flag_dim + 1
+    mixture = family.mixture(levels)
+    rho0 = partial_trace(mixture, mixture.dims.labels[:2])
+    unitaries = sector_unitaries(params, times, levels)
+    operators, residuals = kraus_operators(family, unitaries)
+    choi_min = np.linalg.eigvalsh(_choi_matrices(operators))[:, 0]
+    via_channel = _kraus_outputs(operators, rho0.mat)
+    density_spectra(
+        via_channel, rho0.dims, trace_tol=CHANNEL_TRACE_TOL, eig_floor=CHANNEL_EIG_FLOOR
+    )
+    via_evolution = evolve_sector_stack(mixture, unitaries)
+    density_spectra(via_evolution, rho0.dims)
+    return residuals, choi_min, np.abs(via_channel - via_evolution).max(axis=(-2, -1))
 
 
 def discord_zero_check(rho: DensityMatrix, flags: Sequence[np.ndarray]) -> float:

@@ -7,13 +7,14 @@ check fails.  CSV output is deterministic for a given flag set.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from collections.abc import Sequence
 
 import numpy as np
 
-from .channels import RucSample, apply_channel, choi_matrix, extract_kraus, ruc_trajectory
+from .channels import RucSample, kraus_audit, ruc_trajectory
 from .entanglement import RANK_TOL, concurrence_2q, concurrence_2q_stack, inaccessible_concurrence
 from .markov import (
     CMI_TOL,
@@ -363,20 +364,12 @@ def _cmd_kraus_check(args: argparse.Namespace) -> int:
     else:
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed)))
         omega_times = sorted(rng.uniform(0.0, 4.0 * math.pi, size=10).tolist())
-    mixture = family.mixture(levels=family.flag_dim + 1)
-    rho0 = partial_trace(mixture, mixture.dims.labels[:2])
-    worst_residual = 0.0
-    worst_choi = 0.0
-    worst_dev = 0.0
-    for omega_t in omega_times:
-        t = omega_t / params.omega
-        channel = extract_kraus(family, params, t)
-        worst_residual = max(worst_residual, channel.residual)
-        choi_min = float(np.linalg.eigvalsh(choi_matrix(channel))[0])
-        worst_choi = min(worst_choi, choi_min)
-        via_channel = apply_channel(channel, rho0)
-        via_evolution = evolve_sector(mixture, t, params)
-        worst_dev = max(worst_dev, float(np.max(np.abs(via_channel.mat - via_evolution.mat))))
+    residuals, choi_min, deviations = kraus_audit(
+        family, params, [omega_t / params.omega for omega_t in omega_times]
+    )
+    worst_residual = max(0.0, float(residuals.max()))
+    worst_choi = min(0.0, float(choi_min.min()))
+    worst_dev = max(0.0, float(deviations.max()))
     print("times (omega*t): " + " ".join(_fmt(v) for v in omega_times))
     print(f"completeness residual (max): {worst_residual:.3e}  [tol 1e-09]")
     print(f"choi min eigenvalue (min): {worst_choi:.3e}  [floor -1e-08]")
@@ -507,10 +500,15 @@ _DISPATCH = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: parsing keeps no state in it between calls."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         if code in (0, None):

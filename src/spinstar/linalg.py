@@ -21,6 +21,8 @@ __all__ = [
     "dagger",
     "tensor",
     "max_abs",
+    "ordered_sum",
+    "projectors",
     "check_orthonormal",
     "hermitian_part",
     "herm_eig",
@@ -73,6 +75,27 @@ def tensor(*factors: np.ndarray) -> np.ndarray:
 def max_abs(m: np.ndarray) -> float:
     """Largest entry magnitude (max-entry norm)."""
     return float(np.max(np.abs(m)))
+
+
+def ordered_sum(stack: np.ndarray, axis: int, start: complex | None = None) -> np.ndarray:
+    """Sum of the slices of a stack along `axis`, added one by one in index order.
+
+    The result has the bits of a loop that adds each slice in turn to
+    `start`, or to a copy of the first slice when start is None.  A numpy
+    reduction does not promise an order, and floating-point addition rounds
+    differently in another one.
+    """
+    slices = np.moveaxis(np.asarray(stack), axis, 0)
+    total = slices[0].copy() if start is None else slices[0] + start
+    for term in slices[1:]:
+        total += term
+    return total
+
+
+def projectors(vectors: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
+    """(M, d, d) stack of |v><v| for each of M vectors of length d, each as np.outer makes it."""
+    v = np.asarray(vectors)
+    return v[:, :, None] * v.conj()[:, None, :]
 
 
 def check_orthonormal(vectors: Sequence[np.ndarray], what: str) -> None:

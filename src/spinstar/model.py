@@ -35,8 +35,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import check_orthonormal, dagger, herm_eig, identity
-from .states import DensityMatrix, DimsSpec, PureState, check_probabilities, conjugate_local
+from .linalg import check_orthonormal, dagger, herm_eig, identity, ordered_sum, projectors
+from .states import (
+    DensityMatrix,
+    DimsSpec,
+    PureState,
+    check_probabilities,
+    conjugate_local,
+    local_conjugates,
+    pair_marginals,
+)
 
 __all__ = [
     "LARGE_N",
@@ -51,7 +59,9 @@ __all__ = [
     "concurrence_a_be",
     "cmi_closed_form",
     "sector_unitary",
+    "sector_unitaries",
     "evolve_sector",
+    "evolve_sector_stack",
     "BruteForceEvolver",
 ]
 
@@ -218,13 +228,19 @@ class ZeroDiscordFamily:
         levels = self.flag_dim if levels is None else int(levels)
         if levels < self.flag_dim:
             raise ValueError(f"cannot truncate flags from {self.flag_dim} to {levels} levels")
-        mat = None
-        for weight, psi, flag in zip(self.probabilities, self.system_states, self.env_flags):
-            padded = np.zeros(levels, dtype=complex)
-            padded[: flag.size] = flag
-            term = weight * np.kron(np.outer(psi, psi.conj()), np.outer(padded, padded.conj()))
-            mat = term if mat is None else mat + term
-        return DensityMatrix(mat, DimsSpec(("A", 2), ("B", 2), ("E", levels)))
+        pair = projectors(self.system_states)
+        bath = projectors(self.padded_flags(levels))
+        # each member's kron(pair, bath), weighted, then summed in member order
+        dim = pair.shape[-1] * levels
+        kron = (pair[:, :, None, :, None] * bath[:, None, :, None, :]).reshape(-1, dim, dim)
+        terms = np.array(self.probabilities)[:, None, None] * kron
+        return DensityMatrix(ordered_sum(terms, 0), DimsSpec(("A", 2), ("B", 2), ("E", levels)))
+
+    def padded_flags(self, levels: int) -> np.ndarray:
+        """(members, levels) array of the flags, zero-padded to `levels`."""
+        flags = np.zeros((len(self), levels), dtype=complex)
+        flags[:, : self.flag_dim] = self.env_flags
+        return flags
 
 
 def zero_discord_family(
@@ -359,8 +375,17 @@ def sector_unitary(params: SpinStarParams, t: float, levels: int = ENV_LEVELS) -
     return u
 
 
-def evolve_sector(state: DensityMatrix, t: float, params: SpinStarParams) -> DensityMatrix:
-    """The (A, B) pair after evolving (A, B, bath ladder) for time t, A untouched.
+def sector_unitaries(params: SpinStarParams, times: Sequence[float], levels: int) -> np.ndarray:
+    """(T, 2 levels, 2 levels) stack of `sector_unitary` at T times.
+
+    Each time keeps its own scalar call: numpy's vectorised cos and sin may
+    round differently from the math module's.
+    """
+    return np.array([sector_unitary(params, t, levels) for t in times])
+
+
+def _sector_levels(state: DensityMatrix) -> int:
+    """The bath ladder's level count of a state that the sector propagator may evolve.
 
     The state must have no population on the inert top rung |1_B, top>,
     otherwise amplitude would leak past the truncation and the sector
@@ -375,7 +400,28 @@ def evolve_sector(state: DensityMatrix, t: float, params: SpinStarParams) -> Den
         raise ValueError(
             f"population {population:.3e} on the top bath rung lies outside the truncation"
         )
-    return conjugate_local(state, sector_unitary(params, t, levels))
+    return levels
+
+
+def evolve_sector(state: DensityMatrix, t: float, params: SpinStarParams) -> DensityMatrix:
+    """The (A, B) pair after evolving (A, B, bath ladder) for time t, A untouched.
+
+    States with population on the inert top bath rung are rejected.
+    """
+    return conjugate_local(state, sector_unitary(params, t, _sector_levels(state)))
+
+
+def evolve_sector_stack(state: DensityMatrix, unitaries: np.ndarray) -> np.ndarray:
+    """(T, 4, 4) stack of the `evolve_sector` pairs under T sector propagators.
+
+    unitaries is a `sector_unitaries` stack on the state's bath ladder.  Each
+    pair has the bits `evolve_sector` gives at its time, and the stack is not
+    validated; `density_spectra` checks a stack.
+    """
+    levels = _sector_levels(state)
+    if unitaries.shape[1:] != (2 * levels, 2 * levels):
+        raise ValueError(f"need {2 * levels}x{2 * levels} propagators, got {unitaries.shape}")
+    return pair_marginals(local_conjugates(state.mat, unitaries))
 
 
 class BruteForceEvolver:

@@ -25,7 +25,9 @@ __all__ = [
     "check_two_qubit",
     "split_cut",
     "conjugate_local",
+    "local_lift",
     "local_conjugates",
+    "pair_marginals",
     "partial_trace",
     "von_neumann_entropy",
     "mutual_information",
@@ -225,15 +227,32 @@ def split_cut(dims: DimsSpec, cut: Cut) -> tuple[tuple[str, ...], tuple[str, ...
     return x_group, y_group
 
 
+def local_lift(u: np.ndarray) -> np.ndarray:
+    """I_A x u for a matrix u or for each u in a (..., h, h) stack, without a kron."""
+    half = u.shape[-1]
+    full = np.zeros(u.shape[:-2] + (2 * half, 2 * half), dtype=complex)
+    full[..., :half, :half] = full[..., half:, half:] = u
+    return full
+
+
 def local_conjugates(mat: np.ndarray, u: np.ndarray) -> np.ndarray:
     """(I_A x u) mat (I_A x u)^dagger, for a matrix u or for each u in a (..., h, h) stack.
 
     mat is (2h, 2h) with qubit A as its first factor; nothing is validated.
     """
-    half = u.shape[-1]
-    full = np.zeros(u.shape[:-2] + (2 * half, 2 * half), dtype=complex)
-    full[..., :half, :half] = full[..., half:, half:] = u  # I_A x u, without a kron
+    full = local_lift(u)
     return full @ mat @ dagger(full)
+
+
+def pair_marginals(mats: np.ndarray) -> np.ndarray:
+    """The (A, B) pair of a (4h, 4h) matrix, or of each in a (..., 4h, 4h) stack.
+
+    Qubits A and B are the first two factors and the rest are traced out;
+    nothing is validated.
+    """
+    rest = mats.shape[-1] // 4
+    blocks = mats.reshape(mats.shape[:-2] + (4, rest, 4, rest))
+    return np.einsum(blocks, [..., 0, 2, 1, 2], [..., 0, 1])
 
 
 def conjugate_local(rho: DensityMatrix, u: np.ndarray) -> DensityMatrix:
@@ -249,8 +268,7 @@ def conjugate_local(rho: DensityMatrix, u: np.ndarray) -> DensityMatrix:
     mat = local_conjugates(rho.mat, np.asarray(u))
     if len(rho.dims) == 2:
         return DensityMatrix(mat, rho.dims)
-    pair = np.einsum(mat.reshape(4, half // 2, 4, half // 2), [0, 2, 1, 2], [0, 1])
-    return DensityMatrix(pair, DimsSpec(*zip(rho.dims.labels, (2, 2))))
+    return DensityMatrix(pair_marginals(mat), DimsSpec(*zip(rho.dims.labels, (2, 2))))
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:

@@ -29,14 +29,101 @@ from spinstar import (
     ruc_trajectory,
     zero_discord_family,
 )
-from spinstar.channels import RUC_CHUNK
-from spinstar.linalg import SIGMA_Z, dagger, identity
+from spinstar import model
+from spinstar.channels import RUC_CHUNK, kraus_audit, kraus_operators
+from spinstar.linalg import SIGMA_Z, dagger, haar_unitary, identity, max_abs
+from spinstar.model import LARGE_N, sector_unitaries, sector_unitary
 from spinstar.states import conjugate_local
+
+#: special values of each branch angle in the random draws
+SPECIAL_ANGLES = (0.0, math.pi / 4, math.pi / 2, math.pi)
 
 
 def default_family(**overrides):
     params = SpinStarParams(**overrides)
     return zero_discord_family(params), params
+
+
+def loop_mixture(family, levels):
+    """The family's mixture matrix as a loop of np.kron terms builds it, member by member."""
+    mat = None
+    for weight, psi, flag in zip(family.probabilities, family.system_states, family.env_flags):
+        padded = np.zeros(levels, dtype=complex)
+        padded[: flag.size] = flag
+        term = weight * np.kron(np.outer(psi, psi.conj()), np.outer(padded, padded.conj()))
+        mat = term if mat is None else mat + term
+    return mat
+
+
+def loop_extract_kraus(family, params, t):
+    """The Kraus operators at time t and their completeness residual, one np.kron each."""
+    levels = family.flag_dim + 1
+    blocks = sector_unitary(params, t, levels=levels).reshape(2, levels, 2, levels)
+    operators = []
+    for psi, flag in zip(family.system_states, family.env_flags):
+        padded = np.zeros(levels, dtype=complex)
+        padded[: flag.size] = flag
+        projector = np.outer(psi, psi.conj())
+        for k in range(levels):
+            b_map = np.tensordot(blocks[:, k, :, :], padded, axes=([2], [0]))
+            operators.append(np.kron(identity(2), b_map) @ projector)
+    residual = max_abs(sum(dagger(k) @ k for k in operators) - identity(4))
+    return np.array(operators), residual
+
+
+def loop_kraus_audit(family, params, times):
+    """Residual, Choi minimum and channel-vs-evolution gap at each time, one time at a time."""
+    levels = family.flag_dim + 1
+    dims = DimsSpec(("A", 2), ("B", 2), ("E", levels))
+    mixture = DensityMatrix(loop_mixture(family, levels), dims)
+    rho0 = partial_trace(mixture, ("A", "B")).mat
+    rows = []
+    for t in times:
+        operators, residual = loop_extract_kraus(family, params, t)
+        choi = np.zeros((16, 16), dtype=complex)
+        via_channel = np.zeros_like(rho0)
+        for k in operators:
+            v = k.T.reshape(-1)
+            choi += np.outer(v, v.conj())
+            via_channel = via_channel + k @ rho0 @ dagger(k)
+        full = np.kron(identity(2), sector_unitary(params, t, levels))
+        joint = full @ mixture.mat @ dagger(full)
+        via_evolution = np.einsum(joint.reshape(4, levels, 4, levels), [0, 2, 1, 2], [0, 1])
+        gap = float(np.max(np.abs(via_channel - via_evolution)))
+        rows.append((residual, float(np.linalg.eigvalsh(choi)[0]), gap))
+    return tuple(np.array(column) for column in zip(*rows))
+
+
+def model_draw(rng):
+    """Model parameters over LARGE_N and baths of 2 to 5000 spins, p in {0, 1, random},
+    and branch angles at special values or random."""
+
+    def angle():
+        if rng.random() < 0.6:
+            return SPECIAL_ANGLES[rng.integers(len(SPECIAL_ANGLES))]
+        return float(rng.uniform(0.0, 2.0 * math.pi))
+
+    env = LARGE_N
+    if rng.random() < 0.7:
+        env = int(round(math.exp(rng.uniform(math.log(2.0), math.log(5000.0)))))
+    p = (0.0, 1.0, float(rng.random()))[rng.integers(3)]
+    coupling = math.exp(rng.uniform(math.log(0.25), math.log(4.0)))
+    return SpinStarParams(env_spins=env, coupling=coupling, p=p, alpha=angle(), beta=angle())
+
+
+def draw_times(rng, params, size):
+    """Check times: t = 0, the kraus-check range of omega*t, and long times up to omega*t = 1e7."""
+    short = rng.uniform(0.0, 4.0 * math.pi, size - 3)
+    long = np.exp(rng.uniform(0.0, math.log(1e7), 2))
+    omega_t = np.concatenate([[0.0], short, long])
+    return [float(x) / params.omega for x in omega_t]
+
+
+def haar_family(rng):
+    """Random orthonormal pair states and bath flags with random weights."""
+    return ZeroDiscordFamily(
+        tuple(rng.dirichlet(np.ones(4))), tuple(haar_unitary(4, rng)), tuple(haar_unitary(4, rng))
+    )
 
 
 class TestZeroDiscordFamily:
@@ -82,6 +169,21 @@ class TestZeroDiscordFamily:
             ZeroDiscordFamily((0.5, 0.5), (e[0], e[0]), (e[0], e[1]))
         with pytest.raises(ValueError, match="orthonormal"):
             ZeroDiscordFamily((0.5, 0.5), (e[0], e[1]), (e[0], 0.5 * e[1]))
+
+    @pytest.mark.parametrize("levels", [4, 5])
+    def test_mixture_has_the_bits_of_the_kron_loop(self, levels):
+        """The stacked mixture equals the member-by-member np.kron sum byte for
+        byte, for the model's families and for random ones whose members overlap."""
+        rng = np.random.default_rng(40 + levels)
+        for i in range(150):
+            if i % 2:
+                family = haar_family(rng)
+            else:
+                params = model_draw(rng)
+                probabilities = None if rng.random() < 0.5 else tuple(rng.dirichlet(np.ones(4)))
+                family = zero_discord_family(params, probabilities)
+            expected = loop_mixture(family, levels)
+            assert family.mixture(levels).mat.tobytes() == expected.tobytes()
 
     def test_custom_probabilities(self):
         params = SpinStarParams()
@@ -141,6 +243,79 @@ class TestExtractKraus:
         family = ZeroDiscordFamily((0.5, 0.5), (e[0], e[1]), (e[0], e[1]))
         with pytest.raises(ValueError, match="two-qubit"):
             extract_kraus(family, SpinStarParams(), 0.1)
+
+
+class TestStackedKraus:
+    """The stacked operators and audit against the one-time loops they replace."""
+
+    def test_operators_and_residuals_have_the_bits_of_the_loop(self):
+        rng = np.random.default_rng(31)
+        for i in range(120):
+            params = model_draw(rng)
+            probabilities = None if i % 3 else tuple(rng.dirichlet(np.ones(4)))
+            family = zero_discord_family(params, probabilities)
+            times = draw_times(rng, params, 5)
+            operators, residuals = kraus_operators(family, sector_unitaries(params, times, 5))
+            for t, ops, residual in zip(times, operators, residuals):
+                expected_ops, expected_residual = loop_extract_kraus(family, params, t)
+                assert ops.tobytes() == expected_ops.tobytes()
+                assert residual == expected_residual
+                channel = extract_kraus(family, params, t)
+                assert channel.operators.tobytes() == expected_ops.tobytes()
+                assert channel.residual == expected_residual
+
+    def test_random_families_have_the_bits_of_the_loop(self):
+        rng = np.random.default_rng(32)
+        params = SpinStarParams(env_spins=7)
+        for _ in range(40):
+            family = haar_family(rng)
+            t = float(rng.uniform(0.0, 10.0))
+            expected_ops, expected_residual = loop_extract_kraus(family, params, t)
+            channel = extract_kraus(family, params, t)
+            assert channel.operators.tobytes() == expected_ops.tobytes()
+            assert channel.residual == expected_residual
+
+    def test_audit_has_the_bits_of_the_one_time_route(self):
+        """kraus-check's stacked times give each time's residual, Choi minimum
+        and deviation exactly as the time-by-time loop does."""
+        rng = np.random.default_rng(33)
+        for i in range(60):
+            params = model_draw(rng)
+            probabilities = None if i % 3 else tuple(rng.dirichlet(np.ones(4)))
+            family = zero_discord_family(params, probabilities)
+            times = draw_times(rng, params, 10)
+            got = kraus_audit(family, params, times)
+            expected = loop_kraus_audit(family, params, times)
+            for column, reference in zip(got, expected):
+                assert column.tobytes() == reference.tobytes()
+
+    def test_each_time_has_its_own_scalar_propagator(self, monkeypatch):
+        """The stack is built from one `sector_unitary` call per time, so its bits
+        are the scalar route's whatever a vectorised cos would round to."""
+        calls = []
+
+        def counted(params, t, levels=model.ENV_LEVELS):
+            calls.append((t, levels))
+            return sector_unitary(params, t, levels)
+
+        monkeypatch.setattr(model, "sector_unitary", counted)
+        family, params = default_family(p=0.3)
+        times = [0.0, 0.4, 1e6]
+        kraus_audit(family, params, times)
+        assert calls == [(t, 5) for t in times]
+
+    def test_audit_rejects_an_incomplete_family(self):
+        e = identity(2)
+        psi1 = np.array([0.0, 1.0, 0.0, 0.0])
+        psi2 = np.array([1.0, 0.0, 0.0, 0.0])
+        family = ZeroDiscordFamily((0.5, 0.5), (psi1, psi2), (e[1], e[0]))
+        with pytest.raises(ValueError, match="bath truncation too small"):
+            kraus_audit(family, SpinStarParams(), [0.2, 0.7])
+
+    def test_propagators_must_match_the_flags(self):
+        family, params = default_family()
+        with pytest.raises(ValueError, match="10x10 propagators"):
+            kraus_operators(family, sector_unitaries(params, [0.3], 4))
 
 
 class TestKrausChannel:

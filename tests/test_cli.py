@@ -445,6 +445,63 @@ class TestHidden:
         assert peak_mb < HIDDEN_PEAK_RSS_MB
 
 
+class TestParserReuse:
+    """`main` builds its parser once per process, and no call leaves state in it."""
+
+    @staticmethod
+    def fresh(capsys, *argv):
+        """A call whose parser is built anew, as in a fresh process."""
+        cli._parser.cache_clear()
+        return run(capsys, *argv)
+
+    def test_flags_of_one_call_do_not_carry_over(self, capsys):
+        expected = self.fresh(capsys, "sweep", "--steps", "5")
+        assert run(capsys, "sweep", "--p", "0.3", "--steps", "5")[1] != expected[1]
+        assert run(capsys, "sweep", "--steps", "5") == expected
+
+    @pytest.mark.parametrize(
+        "good", [("sweep", "--steps", "5"), ("kraus-check", "--seed", "3"), ("markov-check",)]
+    )
+    def test_failed_calls_leave_the_next_one_unchanged(self, capsys, good):
+        expected = self.fresh(capsys, *good)
+        for bad in (("bogus",), (), ("sweep", "--p", "2"), ("sweep", "--steps", "1")):
+            code, out, err = run(capsys, *bad)
+            assert (code, out) == (EXIT_USAGE, "") and "error" in err
+            assert run(capsys, *good) == expected
+
+    def test_parser_is_built_once_per_process(self, capsys, monkeypatch):
+        built = []
+        real = cli.build_parser
+
+        def counting():
+            built.append(True)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        for _ in range(3):
+            for argv in (("sweep", "--steps", "3"), ("bogus",), ("hidden", "--steps", "2")):
+                run(capsys, *argv)
+        assert built == [True]
+
+    def test_usage_wraps_to_the_columns_of_each_call(self, capsys, monkeypatch):
+        """The cached parser reads COLUMNS when it prints, as a new one would."""
+        argv = ["sweep", "--steps", "many"]
+        monkeypatch.setenv("COLUMNS", "120")
+        self.fresh(capsys, "markov-check")
+        errors = []
+        for columns in ("40", "120"):
+            monkeypatch.setenv("COLUMNS", columns)
+            code, _, err = run(capsys, *argv)
+            assert code == EXIT_USAGE
+            with pytest.raises(SystemExit):
+                cli.build_parser().parse_args(argv)
+            assert capsys.readouterr().err == err
+            errors.append(err)
+        assert errors[0] != errors[1]
+        assert len(errors[0].splitlines()) > len(errors[1].splitlines())
+
+
 @pytest.mark.parametrize(
     "argv",
     [
