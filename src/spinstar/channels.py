@@ -109,7 +109,7 @@ def _completeness_residuals(ops: np.ndarray) -> np.ndarray:
     The products are summed in operator order, and a residual above
     COMPLETENESS_TOL (or NaN) raises for the first offending stack.
     """
-    total = ordered_sum(dagger(ops) @ ops, -3, start=0)
+    total = ordered_sum(np.moveaxis(dagger(ops) @ ops, -3, 0), start=0)
     residuals = np.abs(total - identity(ops.shape[-1])).max(axis=(-2, -1))
     bad = ~(residuals <= COMPLETENESS_TOL)
     if bad.any():
@@ -160,7 +160,7 @@ def _kraus_outputs(ops: np.ndarray, mat: np.ndarray) -> np.ndarray:
 
     The outputs are not validated; `density_spectra` checks a stack.
     """
-    return ordered_sum(ops @ mat @ dagger(ops), -3, start=0)
+    return ordered_sum(np.moveaxis(ops @ mat @ dagger(ops), -3, 0), start=0)
 
 
 def apply_channel(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
@@ -172,9 +172,13 @@ def apply_channel(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
 
 
 def _choi_matrices(ops: np.ndarray) -> np.ndarray:
-    """Choi matrix of each (..., K, d, d) operator stack, as `choi_matrix` builds it."""
-    vecs = ops.swapaxes(-1, -2).reshape(ops.shape[:-2] + (-1,))
-    return ordered_sum(vecs[..., :, None] * vecs.conj()[..., None, :], -3, start=0)
+    """Choi matrix of each (..., K, d, d) operator stack, as `choi_matrix` builds it.
+
+    The K outer products are made one at a time: all at once would hold K
+    times the memory of the result.
+    """
+    vecs = np.moveaxis(ops.swapaxes(-1, -2).reshape(ops.shape[:-2] + (-1,)), -2, 0)
+    return ordered_sum((v[..., :, None] * v.conj()[..., None, :] for v in vecs), start=0)
 
 
 def choi_matrix(channel: KrausChannel) -> np.ndarray:

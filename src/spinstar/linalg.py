@@ -6,7 +6,7 @@ Inputs are treated as immutable and results are always fresh arrays.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -77,17 +77,18 @@ def max_abs(m: np.ndarray) -> float:
     return float(np.max(np.abs(m)))
 
 
-def ordered_sum(stack: np.ndarray, axis: int, start: complex | None = None) -> np.ndarray:
-    """Sum of the slices of a stack along `axis`, added one by one in index order.
+def ordered_sum(terms: Iterable[np.ndarray], start: complex | None = None) -> np.ndarray:
+    """Sum of arrays added one by one in the order given, such as the slices of a stack.
 
-    The result has the bits of a loop that adds each slice in turn to
-    `start`, or to a copy of the first slice when start is None.  A numpy
+    The result has the bits of a loop that adds each term in turn to
+    `start`, or to a copy of the first term when start is None.  A numpy
     reduction does not promise an order, and floating-point addition rounds
     differently in another one.
     """
-    slices = np.moveaxis(np.asarray(stack), axis, 0)
-    total = slices[0].copy() if start is None else slices[0] + start
-    for term in slices[1:]:
+    terms = iter(terms)
+    first = next(terms)
+    total = first.copy() if start is None else first + start
+    for term in terms:
         total += term
     return total
 

@@ -234,7 +234,7 @@ class ZeroDiscordFamily:
         dim = pair.shape[-1] * levels
         kron = (pair[:, :, None, :, None] * bath[:, None, :, None, :]).reshape(-1, dim, dim)
         terms = np.array(self.probabilities)[:, None, None] * kron
-        return DensityMatrix(ordered_sum(terms, 0), DimsSpec(("A", 2), ("B", 2), ("E", levels)))
+        return DensityMatrix(ordered_sum(terms), DimsSpec(("A", 2), ("B", 2), ("E", levels)))
 
     def padded_flags(self, levels: int) -> np.ndarray:
         """(members, levels) array of the flags, zero-padded to `levels`."""
