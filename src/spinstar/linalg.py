@@ -115,7 +115,8 @@ def hermitian_part(m: np.ndarray, what: str) -> np.ndarray:
     input gives a real result, so its eigenbasis stays real.
     """
     m = np.asarray(m)
-    m = m.astype(np.result_type(m, float), copy=False)
+    if m.dtype != complex:  # complex128 is its own result type
+        m = m.astype(np.result_type(m, float), copy=False)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"{what} must be a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
@@ -129,7 +130,9 @@ def hermitian_part(m: np.ndarray, what: str) -> np.ndarray:
             f"{what} is not Hermitian: max |m - m^dagger| = {first:.3e} exceeds {HERM_TOL:.1e}"
         )
     # symmetrize so roundoff in the input cannot leak into complex eigenvalues
-    return (m + m_dag) / 2.0
+    sym = m + m_dag
+    sym /= 2.0
+    return sym
 
 
 def herm_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

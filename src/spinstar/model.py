@@ -31,7 +31,7 @@ import math
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .states import (
     DensityMatrix,
     DimsSpec,
     PureState,
+    _check_base,
     check_probabilities,
     conjugate_local,
     local_conjugates,
@@ -58,6 +59,7 @@ __all__ = [
     "concurrence_closed_form",
     "concurrence_a_be",
     "cmi_closed_form",
+    "mi_closed_form",
     "sector_unitary",
     "sector_unitaries",
     "evolve_sector",
@@ -351,6 +353,53 @@ def cmi_closed_form(params: SpinStarParams) -> float:
     )
 
 
+def _block_eigenvalues(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> list[np.ndarray]:
+    """Both eigenvalues of each real symmetric 2x2 block [[x, z], [z, y]]."""
+    mean, radius = (x + y) / 2.0, np.hypot((x - y) / 2.0, z)
+    return [mean + radius, mean - radius]
+
+
+def _entropy_nats(probs: np.ndarray) -> np.ndarray:
+    """-sum(p ln p) over the last axis, 0 ln 0 = 0; rounding may leave a p just below 0."""
+    kept = np.where(probs > 0.0, probs, 1.0)
+    return -(kept * np.log(kept)).sum(axis=-1)
+
+
+def mi_closed_form(
+    params: SpinStarParams, times: Sequence[float] | np.ndarray, base: float = 2
+) -> np.ndarray:
+    """Mutual information I(A:B) of the reduced pair at each time, in closed form.
+
+    The pair stays in X form (Wootters, PRL 80, 2245 (1998)), with the
+    populations and coherences `closed_form_terms` reads: S(AB) is the
+    entropy of its (00, 11) and (01, 10) blocks, and both marginals are
+    diagonal.  numpy's cos and sin may differ from the math module's in the
+    last bit, so this is an independent check of `mutual_information` on
+    `evolve_sector`, not a copy of its bits.
+    """
+    base = _check_base(base)
+    t = np.asarray(times, dtype=float)
+    bad = ~((0.0 <= t) & (t < math.inf))
+    if bad.any():
+        raise ValueError(f"time must be finite and non-negative, got {float(t[bad][0])!r}")
+    a, b, c, d, e, f = params._closed_form_weights
+    cos_w, sin_w = np.cos(params.omega * t), np.sin(params.omega * t)
+    cos_w1, sin_w1 = np.cos(params.omega1 * t), np.sin(params.omega1 * t)
+    # populations of |00>, |01>, |10> and |11>
+    p00 = a + d * sin_w1**2
+    p01 = d * cos_w1**2
+    p10 = b * sin_w**2 + f * cos_w**2
+    p11 = b * cos_w**2 + f * sin_w**2
+    pair = np.stack(
+        _block_eigenvalues(p00, p11, c * cos_w) + _block_eigenvalues(p01, p10, e * cos_w1 * cos_w),
+        axis=-1,
+    )
+    marginal_a = np.stack([p00 + p01, p10 + p11], axis=-1)
+    marginal_b = np.stack([p00 + p10, p01 + p11], axis=-1)
+    nats = _entropy_nats(marginal_a) + _entropy_nats(marginal_b) - _entropy_nats(pair)
+    return nats / math.log(base)
+
+
 def sector_unitary(params: SpinStarParams, t: float, levels: int = ENV_LEVELS) -> np.ndarray:
     """Propagator on (qubit B) x (bath ladder with the given level count).
 
@@ -363,8 +412,8 @@ def sector_unitary(params: SpinStarParams, t: float, levels: int = ENV_LEVELS) -
         raise ValueError(f"need at least two bath levels, got {levels}")
     dim = 2 * levels
     u = identity(dim)
-    for n in range(levels - 1):
-        theta = params.mode_frequency(n) * t
+    for n, frequency in enumerate(_rung_frequencies(params, levels)):
+        theta = frequency * t
         hi = 1 * levels + n  # |1_B, n>
         lo = 0 * levels + (n + 1)  # |0_B, n+1>
         c, s = math.cos(theta), math.sin(theta)
@@ -373,6 +422,16 @@ def sector_unitary(params: SpinStarParams, t: float, levels: int = ENV_LEVELS) -
         u[hi, lo] = -1j * s
         u[lo, hi] = -1j * s
     return u
+
+
+@lru_cache(maxsize=64)
+def _rung_frequencies(params: SpinStarParams, levels: int) -> tuple[float, ...]:
+    """Omega_n of the rungs n = 0 .. levels - 2 that `sector_unitary` rotates.
+
+    A sweep asks for the same few ladders at every point; the cache holds a
+    fixed number of them.
+    """
+    return tuple(params.mode_frequency(n) for n in range(levels - 1))
 
 
 def sector_unitaries(params: SpinStarParams, times: Sequence[float], levels: int) -> np.ndarray:

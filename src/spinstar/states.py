@@ -8,6 +8,7 @@ original order; there is no implicit reordering.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -43,6 +44,10 @@ PROB_TOL = 1e-12
 
 #: state vectors must have unit norm within this tolerance
 NORM_TOL = 1e-12
+
+#: (factors, labels) entries kept by the cut and partial-trace caches; a run
+#: uses a handful, so this only bounds a caller that makes many factorizations
+_PLAN_CACHE_SIZE = 64
 
 Cut = tuple[Iterable[str], Iterable[str]]
 
@@ -118,6 +123,7 @@ def density_spectra(
     matrix in row-major order.  The spectra are those of the symmetrized
     matrices.
     """
+    mats = np.asarray(mats)
     sym = hermitian_part(mats, "density matrix")
     if sym.shape[-1] != dims.total_dim:
         raise ValueError(
@@ -126,12 +132,11 @@ def density_spectra(
         )
     # one value per matrix, checked as a list: a numpy reduction costs more
     # than the whole check on a single matrix
-    traces = np.ravel(np.trace(mats, axis1=-2, axis2=-1)).tolist()
-    for tr in traces:
+    for tr in np.asarray(mats.trace(axis1=-2, axis2=-1)).ravel().tolist():
         if abs(tr - 1.0) > trace_tol:
             raise ValueError(f"density matrix trace {tr:.12g} is not 1 within {trace_tol:.1e}")
     vals = np.linalg.eigvalsh(sym)
-    for low in np.ravel(vals[..., 0]).tolist():
+    for low in vals[..., :1].ravel().tolist():
         if low < -eig_floor:
             raise ValueError(
                 f"density matrix is not positive semidefinite: min eigenvalue {low:.3e}"
@@ -217,7 +222,14 @@ def _label_group(dims: DimsSpec, labels: Iterable[str]) -> tuple[str, ...]:
 
 def split_cut(dims: DimsSpec, cut: Cut) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """The two label groups of a bipartition (X, Y) of all factors in `dims`."""
-    x_group, y_group = _label_group(dims, cut[0]), _label_group(dims, cut[1])
+    return _split_cut(dims, tuple(cut[0]), tuple(cut[1]))
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _split_cut(
+    dims: DimsSpec, x: tuple[str, ...], y: tuple[str, ...]
+) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    x_group, y_group = _label_group(dims, x), _label_group(dims, y)
     if set(x_group) & set(y_group):
         raise ValueError(f"cut groups overlap: {x_group} vs {y_group}")
     if len(x_group) + len(y_group) != len(dims):
@@ -268,7 +280,8 @@ def conjugate_local(rho: DensityMatrix, u: np.ndarray) -> DensityMatrix:
     mat = local_conjugates(rho.mat, np.asarray(u))
     if len(rho.dims) == 2:
         return DensityMatrix(mat, rho.dims)
-    return DensityMatrix(pair_marginals(mat), DimsSpec(*zip(rho.dims.labels, (2, 2))))
+    _, _, pair_dims = _trace_plan(rho.dims, rho.dims.labels[:2])
+    return DensityMatrix(pair_marginals(mat), pair_dims)
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
@@ -276,16 +289,24 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
 
     Kept factors preserve their original order regardless of the order given.
     """
-    dims = rho.dims
+    operand, out, sub = _trace_plan(rho.dims, tuple(keep))
+    reduced = np.einsum(rho.mat.reshape(rho.dims.dims * 2), operand, out)
+    return DensityMatrix(reduced.reshape(sub.total_dim, sub.total_dim), sub)
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _trace_plan(
+    dims: DimsSpec, keep: tuple[str, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...], DimsSpec]:
+    """The einsum axes that trace `dims` down to the `keep` factors, and the kept factors."""
     keep_set = set(_label_group(dims, keep))
     kept = [i for i, lab in enumerate(dims.labels) if lab in keep_set]
     n = len(dims)
     # bra axis i pairs with ket axis n + i; a traced factor reuses i for both
     ket = [n + i if i in kept else i for i in range(n)]
     out = kept + [n + i for i in kept]
-    reduced = np.einsum(rho.mat.reshape(dims.dims * 2), [*range(n), *ket], out)
     sub = DimsSpec(*((dims.labels[i], dims.dims[i]) for i in kept))
-    return DensityMatrix(reduced.reshape(sub.total_dim, sub.total_dim), sub)
+    return (*range(n), *ket), tuple(out), sub
 
 
 def _check_base(base: float) -> float:
@@ -303,7 +324,8 @@ def _spectrum_entropy(vals: np.ndarray, base: float) -> float:
     low = float(vals[0])
     if low < ENTROPY_EIG_FLOOR:
         raise ValueError(f"state eigenvalue {low:.3e} below floor {ENTROPY_EIG_FLOOR:.1e}")
-    probs = vals[vals > 0.0]
+    # a spectrum with no zero needs no mask: the same values give the same sum
+    probs = vals if low > 0.0 else vals[vals > 0.0]
     return float(-(probs @ np.log(probs)) / math.log(base))
 
 

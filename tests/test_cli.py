@@ -21,7 +21,14 @@ from spinstar.cli import (
     SWEEP_HEADER,
     main,
 )
-from spinstar.model import MAX_BATH_SPINS, SpinStarParams, concurrence_closed_form
+from spinstar.model import (
+    MAX_BATH_SPINS,
+    SpinStarParams,
+    build_initial_state,
+    concurrence_closed_form,
+    evolve_sector,
+    mi_closed_form,
+)
 
 
 #: ceiling on the peak resident set of `hidden --steps MAX_STEPS`, in MB: the
@@ -237,6 +244,34 @@ class TestSweep:
             f"consistency failure at omega*t={omega_t:.6g}: closed form {closed:.12g} "
             f"vs numeric {shifted[first]:.12g}\n"
         )
+
+    def test_mi_off_its_closed_form_exits_3(self, capsys, monkeypatch):
+        """A sector mi scaled by 1 + 1e-9 is caught at its first row, and nothing is written."""
+        original = cli.mutual_information
+        monkeypatch.setattr(
+            cli, "mutual_information", lambda *args: original(*args) * (1.0 + 1e-9)
+        )
+        code, out, err = run(capsys, "sweep", "--steps", "50", "--log-base", "2")
+        assert code == EXIT_CHECK
+        assert out == ""
+        params = SpinStarParams()
+        closed = mi_closed_form(params, [0.0], 2)[0]
+        scaled = original(evolve_sector(build_initial_state(params), 0.0, params), (("A",), ("B",)), 2)
+        scaled *= 1.0 + 1e-9
+        assert err == (
+            f"consistency failure at omega*t=0: mi {scaled:.17g} vs closed form {closed:.17g}, "
+            f"gap {abs(scaled - closed):.1e} exceeds {cli.SWEEP_MI_TOL:.1e}\n"
+        )
+
+    def test_mi_column_matches_its_closed_form(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--steps", "400", "--env-spins", "9", "--p", "0.3")
+        assert code == EXIT_OK
+        rows = np.array([line.split(",") for line in out.splitlines()[1:]], dtype=float)
+        params = SpinStarParams(env_spins=9, p=0.3)
+        grid = np.linspace(0.0, 4.0 * math.pi, 400)
+        closed = mi_closed_form(params, grid / params.omega, 10)
+        # mi is printed to 12 significant digits
+        assert np.abs(rows[:, 3] - closed).max() <= 1e-12
 
     @pytest.mark.skipif(
         not sys.platform.startswith("linux"), reason="reads VmHWM, which only Linux reports"

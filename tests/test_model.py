@@ -27,12 +27,14 @@ from spinstar import (
     sector_unitary,
 )
 from spinstar.linalg import SIGMA_PLUS, dagger, identity, tensor
+from spinstar.cli import SWEEP_MI_TOL
 from spinstar.model import (
     ENV_LEVELS,
     MAX_BATH_SPINS,
     ORACLE_CHUNK_AMPLITUDES,
     PAIR_ENV_DIMS,
     ZeroDiscordFamily,
+    mi_closed_form,
 )
 from test_acceptance import GRID, PAIR_CUT, WINDOW_7
 
@@ -174,6 +176,55 @@ class TestCmiClosedForm:
             params = default_params(p=p, alpha=float(alpha), beta=float(beta))
             numeric = conditional_mutual_information(build_initial_state(params))
             assert abs(cmi_closed_form(params) - numeric) <= 1e-12
+
+
+class TestMiClosedForm:
+    """The X-state mutual information against the sector route's entropies."""
+
+    def sector_mi(self, params, times, base):
+        rho0 = build_initial_state(params)
+        return np.array([mutual_information(evolve_sector(rho0, t, params), PAIR_CUT, base) for t in times])
+
+    @pytest.mark.parametrize("n_spins", [2, 7, LARGE_N])
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+    def test_matches_sector_evolution_at_the_edges(self, n_spins, p):
+        for alpha in EDGE_ANGLES + (math.pi,):
+            for beta in EDGE_ANGLES + (math.pi,):
+                params = default_params(env_spins=n_spins, p=p, alpha=alpha, beta=beta)
+                times = np.linspace(0.0, 4.0 * math.pi, 101) / params.omega
+                for base in (2, math.e, 10):
+                    gap = np.abs(mi_closed_form(params, times, base) - self.sector_mi(params, times, base))
+                    assert gap.max() <= SWEEP_MI_TOL
+
+    def test_matches_sector_evolution_on_random_draws_and_long_times(self):
+        rng = np.random.default_rng(33)
+        for k in range(30):
+            n_spins = LARGE_N if k % 3 == 0 else int(np.exp(rng.uniform(np.log(2), np.log(5000))))
+            params = default_params(
+                env_spins=n_spins,
+                coupling=float(np.exp(rng.uniform(np.log(0.25), np.log(4.0)))),
+                p=float(rng.choice([0.0, 1.0, 1e-9, rng.random()])),
+                alpha=float(rng.uniform(0.0, 2.0 * math.pi)),
+                beta=float(rng.uniform(0.0, 2.0 * math.pi)),
+            )
+            times = rng.uniform(0.0, 10 ** rng.uniform(1, 4), 40) / params.omega
+            gap = np.abs(mi_closed_form(params, times, 2) - self.sector_mi(params, times, 2))
+            assert gap.max() <= SWEEP_MI_TOL
+
+    def test_initial_value_is_the_branch_mixture_information(self):
+        """At t = 0 with p = 1 and alpha = pi/4 the pair is a Bell state: 2 bits."""
+        params = default_params(p=1.0, alpha=math.pi / 4)
+        assert mi_closed_form(params, [0.0], 2)[0] == pytest.approx(2.0, abs=1e-15)
+        assert mi_closed_form(params, np.zeros((2, 3)), 2).shape == (2, 3)
+
+    @pytest.mark.parametrize("t", [-1.0, math.inf, math.nan])
+    def test_refuses_a_bad_time(self, t):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            mi_closed_form(default_params(), [0.0, t], 2)
+
+    def test_refuses_a_bad_base(self):
+        with pytest.raises(ValueError, match="log base"):
+            mi_closed_form(default_params(), [0.0], 3)
 
 
 class TestBranchVectors:
