@@ -130,9 +130,7 @@ def hermitian_part(m: np.ndarray, what: str) -> np.ndarray:
             f"{what} is not Hermitian: max |m - m^dagger| = {first:.3e} exceeds {HERM_TOL:.1e}"
         )
     # symmetrize so roundoff in the input cannot leak into complex eigenvalues
-    sym = m + m_dag
-    sym /= 2.0
-    return sym
+    return (m + m_dag) / 2.0
 
 
 def herm_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -8,10 +8,10 @@ original order; there is no implicit reordering.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -225,7 +225,7 @@ def split_cut(dims: DimsSpec, cut: Cut) -> tuple[tuple[str, ...], tuple[str, ...
     return _split_cut(dims, tuple(cut[0]), tuple(cut[1]))
 
 
-@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _split_cut(
     dims: DimsSpec, x: tuple[str, ...], y: tuple[str, ...]
 ) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -294,7 +294,7 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
     return DensityMatrix(reduced.reshape(sub.total_dim, sub.total_dim), sub)
 
 
-@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _trace_plan(
     dims: DimsSpec, keep: tuple[str, ...]
 ) -> tuple[tuple[int, ...], tuple[int, ...], DimsSpec]:

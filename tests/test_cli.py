@@ -256,8 +256,8 @@ class TestSweep:
         assert out == ""
         params = SpinStarParams()
         closed = mi_closed_form(params, [0.0], 2)[0]
-        scaled = original(evolve_sector(build_initial_state(params), 0.0, params), (("A",), ("B",)), 2)
-        scaled *= 1.0 + 1e-9
+        pair = evolve_sector(build_initial_state(params), 0.0, params)
+        scaled = original(pair, (("A",), ("B",)), 2) * (1.0 + 1e-9)
         assert err == (
             f"consistency failure at omega*t=0: mi {scaled:.17g} vs closed form {closed:.17g}, "
             f"gap {abs(scaled - closed):.1e} exceeds {cli.SWEEP_MI_TOL:.1e}\n"

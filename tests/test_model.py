@@ -183,7 +183,9 @@ class TestMiClosedForm:
 
     def sector_mi(self, params, times, base):
         rho0 = build_initial_state(params)
-        return np.array([mutual_information(evolve_sector(rho0, t, params), PAIR_CUT, base) for t in times])
+        return np.array(
+            [mutual_information(evolve_sector(rho0, t, params), PAIR_CUT, base) for t in times]
+        )
 
     @pytest.mark.parametrize("n_spins", [2, 7, LARGE_N])
     @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
@@ -193,8 +195,8 @@ class TestMiClosedForm:
                 params = default_params(env_spins=n_spins, p=p, alpha=alpha, beta=beta)
                 times = np.linspace(0.0, 4.0 * math.pi, 101) / params.omega
                 for base in (2, math.e, 10):
-                    gap = np.abs(mi_closed_form(params, times, base) - self.sector_mi(params, times, base))
-                    assert gap.max() <= SWEEP_MI_TOL
+                    closed = mi_closed_form(params, times, base)
+                    assert np.abs(closed - self.sector_mi(params, times, base)).max() <= SWEEP_MI_TOL
 
     def test_matches_sector_evolution_on_random_draws_and_long_times(self):
         rng = np.random.default_rng(33)

@@ -154,7 +154,9 @@ def test_sweep_points_have_the_bits_of_the_loops():
     for params in sweep_draws(rng, 40):
         rho0 = build_initial_state(params)
         base = float(rng.choice([2.0, math.e, 10.0]))
-        omega_t = np.concatenate(([0.0, math.pi / 2], rng.uniform(0.0, 60.0, 8), 10 ** rng.uniform(2, 4, 4)))
+        omega_t = np.concatenate(
+            ([0.0, math.pi / 2], rng.uniform(0.0, 60.0, 8), 10 ** rng.uniform(2, 4, 4))
+        )
         for t in omega_t / params.omega:
             pair = evolve_sector(rho0, t, params)
             ref_pair, ref_spectrum, ref_marginals, ref_mi = loop_point(rho0, t, params, base)
@@ -175,7 +177,8 @@ def test_sector_unitary_has_the_bits_of_the_loop(levels):
     for params in sweep_draws(rng, 12):
         for omega_t in (0.0, 1.3, 77.0, 1e4):
             t = omega_t / params.omega
-            assert same_bits(sector_unitary(params, t, levels), loop_sector_unitary(params, t, levels))
+            expected = loop_sector_unitary(params, t, levels)
+            assert same_bits(sector_unitary(params, t, levels), expected)
 
 
 def test_spectra_of_stacks_and_single_matrices_have_the_bits_of_the_loop():
