@@ -263,16 +263,6 @@ class TestSweep:
             f"gap {abs(scaled - closed):.1e} exceeds {cli.SWEEP_MI_TOL:.1e}\n"
         )
 
-    def test_mi_column_matches_its_closed_form(self, capsys):
-        code, out, _ = run(capsys, "sweep", "--steps", "400", "--env-spins", "9", "--p", "0.3")
-        assert code == EXIT_OK
-        rows = np.array([line.split(",") for line in out.splitlines()[1:]], dtype=float)
-        params = SpinStarParams(env_spins=9, p=0.3)
-        grid = np.linspace(0.0, 4.0 * math.pi, 400)
-        closed = mi_closed_form(params, grid / params.omega, 10)
-        # mi is printed to 12 significant digits
-        assert np.abs(rows[:, 3] - closed).max() <= 1e-12
-
     @pytest.mark.skipif(
         not sys.platform.startswith("linux"), reason="reads VmHWM, which only Linux reports"
     )
