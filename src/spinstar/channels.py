@@ -41,17 +41,14 @@ from .states import (
 
 __all__ = [
     "KrausChannel",
-    "kraus_operators",
     "extract_kraus",
     "apply_channel",
     "choi_matrix",
-    "kraus_audit",
     "discord_zero_check",
     "RandomUnitaryChannel",
     "apply_random_unitary",
     "ruc_trajectory",
     "RucSample",
-    "random_phase_channel",
 ]
 
 #: Kraus completeness must hold within this tolerance
@@ -269,9 +266,8 @@ class RandomUnitaryChannel:
 def apply_random_unitary(channel: RandomUnitaryChannel, rho: DensityMatrix) -> DensityMatrix:
     """Mix the branch unitaries over the second factor of a two-qubit state."""
     check_two_qubit(rho, "state")
-    out = np.zeros_like(rho.mat)
-    for p, u in zip(channel.probabilities, channel.unitaries):
-        out = out + p * conjugate_local(rho, u).mat
+    branches = zip(channel.probabilities, channel.unitaries)
+    out = ordered_sum((p * conjugate_local(rho, u).mat for p, u in branches), start=0)
     return DensityMatrix(out, rho.dims)
 
 
@@ -288,7 +284,7 @@ class RucSample:
 def ruc_trajectory(rho0: DensityMatrix, t_grid: Sequence[float]) -> tuple[RucSample, ...]:
     """Branch-resolved evolution of a two-qubit state under the phase dial.
 
-    Each grid value is the dial angle of `random_phase_channel`.  The grid
+    Each grid value is the dial angle of `_phase_dial`.  The grid
     runs in stacked batches of RUC_CHUNK points, each checked as a whole:
     unitarity of the branches, validity of every member and mixture state,
     convexity, and drift.  Because each branch evolves by a local unitary,
@@ -326,7 +322,10 @@ def _phase_dial(angles: np.ndarray) -> np.ndarray:
     """(..., 2, 2, 2) stack of the two branch unitaries at each dial angle.
 
     The branches are exp(-i angle Z / 2) and its inverse, built from the same
-    two phase arrays.
+    two phase arrays.  Mixed with PHASE_DIAL_WEIGHTS they make a minimal
+    dephasing dial: at angle omega t the mixture's concurrence follows
+    |cos(omega t)| on a maximally entangled input while each branch stays
+    maximally entangled.
     """
     half = 0.5 * angles
     minus, plus = np.exp(-1j * half), np.exp(1j * half)
@@ -334,14 +333,3 @@ def _phase_dial(angles: np.ndarray) -> np.ndarray:
     unitaries[..., 0, 0, 0] = unitaries[..., 1, 1, 1] = minus
     unitaries[..., 0, 1, 1] = unitaries[..., 1, 0, 0] = plus
     return unitaries
-
-
-def random_phase_channel(angle: float) -> RandomUnitaryChannel:
-    """Equal-weight pair of opposite phase rotations through the dial angle.
-
-    The two branches are exp(-i angle Z / 2) and its inverse, a minimal
-    dephasing dial: at angle omega t the mixture's concurrence follows
-    |cos(omega t)| on a maximally entangled input while each branch stays
-    maximally entangled.
-    """
-    return RandomUnitaryChannel(list(zip(PHASE_DIAL_WEIGHTS, _phase_dial(np.float64(angle)))))

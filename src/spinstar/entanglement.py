@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SIGMA_Y, dagger, herm_eig, hermitian_part, tensor
+from .linalg import SIGMA_Y, dagger, herm_eig, hermitian_part, ordered_sum
 from .states import (
     Cut,
     DensityMatrix,
@@ -30,15 +30,11 @@ from .states import (
 __all__ = [
     "EnsembleMember",
     "concurrence_pure",
-    "spin_flip_coefficients",
     "concurrence_2q",
-    "concurrence_2q_stack",
     "ppt_min_eigenvalue",
     "ensemble_concurrence",
     "inaccessible_concurrence",
     "hidden_entanglement",
-    "hidden_entanglement_stack",
-    "convexity_failure",
 ]
 
 #: density-matrix eigenvalues at or below this are treated as unpopulated
@@ -48,7 +44,7 @@ RANK_TOL = 1e-12
 CONVEXITY_TOL = 1e-9
 
 #: the two-qubit spin flip Y x Y, which is real
-SPIN_FLIP = tensor(SIGMA_Y, SIGMA_Y).real
+SPIN_FLIP = np.kron(SIGMA_Y, SIGMA_Y).real
 SPIN_FLIP.setflags(write=False)
 
 
@@ -79,7 +75,17 @@ def concurrence_pure(psi: PureState, cut: Cut) -> float:
 
 
 def _spin_flip_stack(mats: np.ndarray) -> np.ndarray:
-    """Descending spin-flip coefficients of each matrix in a (..., 4, 4) stack."""
+    """Descending spin-flip coefficients of each two-qubit density matrix in a (..., 4, 4) stack.
+
+    Writes rho = W W^dagger through its spectral decomposition and returns the
+    singular values of the complex symmetric matrix W^T (Y x Y) W, zero padded
+    to length four.  Their squares are the eigenvalues of rho Y rho* Y, but
+    taking singular values at the amplitude level keeps coefficients that are
+    exactly zero at the rounding scale instead of its square root, and the
+    concurrence subtracts three of them so that accuracy is load bearing.
+    Eigenvalues of rho at or below RANK_TOL carry no usable amplitude and are
+    dropped.
+    """
     vals, vecs = herm_eig(mats)
     lams = np.zeros(vals.shape)
     # eigenvalues ascend, so the kept ones are the last r of each matrix:
@@ -101,26 +107,11 @@ def _spin_flip_stack(mats: np.ndarray) -> np.ndarray:
     return lams
 
 
-def spin_flip_coefficients(rho: DensityMatrix) -> np.ndarray:
-    """Descending spin-flip coefficients of a two-qubit density matrix.
-
-    Writes rho = W W^dagger through its spectral decomposition and returns the
-    singular values of the complex symmetric matrix W^T (Y x Y) W, zero padded
-    to length four.  Their squares are the eigenvalues of rho Y rho* Y, but
-    taking singular values at the amplitude level keeps coefficients that are
-    exactly zero at the rounding scale instead of its square root, and the
-    concurrence subtracts three of them so that accuracy is load bearing.
-    Eigenvalues of rho at or below RANK_TOL carry no usable amplitude and are
-    dropped.
-    """
-    return _spin_flip_stack(rho.mat)
-
-
 def concurrence_2q_stack(mats: np.ndarray) -> np.ndarray:
     """Concurrence of each two-qubit density matrix in a (..., 4, 4) stack.
 
     The matrices must already be validated, as `density_spectra` does; the
-    coefficients are those of `spin_flip_coefficients`.
+    coefficients are those of `_spin_flip_stack`.
     """
     lams = _spin_flip_stack(mats)
     c = lams[..., 0] - lams[..., 1] - lams[..., 2] - lams[..., 3]
@@ -191,15 +182,13 @@ def hidden_entanglement_stack(
     mats is a (T, K, 4, 4) stack of validated two-qubit density matrices over
     dims, K ensemble members at each of T points, mixed with the same K
     checked weights everywhere.  The ensemble average is the correctly
-    rounded weighted sum, and each mixture is summed from zeros in member
-    order and validated.  The caller checks convexity, so that it can order
-    that check among its own.
+    rounded weighted sum, and each mixture is summed in member order and
+    validated.  The caller checks convexity, so that it can order that check
+    among its own.
     """
     terms = concurrence_2q_stack(mats) * np.asarray(weights)
     c_ens = np.array([math.fsum(row) for row in terms.tolist()])
-    mixture = np.zeros(mats.shape[:1] + mats.shape[2:], dtype=complex)
-    for k, w in enumerate(weights):
-        mixture = mixture + w * mats[:, k]
+    mixture = ordered_sum((w * mats[:, k] for k, w in enumerate(weights)), start=0)
     density_spectra(mixture, dims)
     c_mix = concurrence_2q_stack(mixture)
     return c_ens, c_mix, c_ens - c_mix

@@ -11,20 +11,9 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 __all__ = [
-    "SIGMA_X",
-    "SIGMA_Y",
-    "SIGMA_Z",
-    "SIGMA_PLUS",
-    "SIGMA_MINUS",
-    "HERM_TOL",
-    "identity",
     "dagger",
-    "tensor",
+    "identity",
     "max_abs",
-    "ordered_sum",
-    "projectors",
-    "check_orthonormal",
-    "hermitian_part",
     "herm_eig",
     "haar_unitary",
 ]
@@ -35,19 +24,9 @@ HERM_TOL = 1e-10
 #: largest tolerated entry of the Gram matrix minus the identity
 ORTHONORMALITY_TOL = 1e-12
 
-
-def _readonly(m: np.ndarray) -> np.ndarray:
-    m.setflags(write=False)
-    return m
-
-
-# Pauli matrices in the basis (|0>, |1>) with |0> the lower level.
-SIGMA_X = _readonly(np.array([[0, 1], [1, 0]], dtype=complex))
-SIGMA_Y = _readonly(np.array([[0, -1j], [1j, 0]], dtype=complex))
-SIGMA_Z = _readonly(np.array([[1, 0], [0, -1]], dtype=complex))
-# Raising |0> -> |1> and lowering |1> -> |0| ladder operators.
-SIGMA_PLUS = _readonly(np.array([[0, 0], [1, 0]], dtype=complex))
-SIGMA_MINUS = _readonly(np.array([[0, 1], [0, 0]], dtype=complex))
+#: Pauli Y in the basis (|0>, |1>) with |0> the lower level
+SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+SIGMA_Y.setflags(write=False)
 
 
 def identity(dim: int) -> np.ndarray:
@@ -60,16 +39,6 @@ def identity(dim: int) -> np.ndarray:
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix in a stack."""
     return np.asarray(m).conj().swapaxes(-1, -2)
-
-
-def tensor(*factors: np.ndarray) -> np.ndarray:
-    """Kronecker product of one or more matrices, first factor slowest."""
-    if not factors:
-        raise ValueError("tensor() needs at least one factor")
-    out = np.asarray(factors[0], dtype=complex)
-    for f in factors[1:]:
-        out = np.kron(out, np.asarray(f, dtype=complex))
-    return out
 
 
 def max_abs(m: np.ndarray) -> float:

@@ -38,7 +38,6 @@ __all__ = [
     "make_markov_state",
     "is_markov",
     "markov_necessary_witnesses",
-    "concurrence_after_env_unitary",
     "verify_localized_reduction",
 ]
 
@@ -170,11 +169,6 @@ def markov_necessary_witnesses(rho: DensityMatrix) -> WitnessResult:
     return WitnessResult(cut, val, val < -NPT_TOL)
 
 
-def concurrence_after_env_unitary(rho: DensityMatrix, u_be: np.ndarray) -> float:
-    """Pair concurrence after a unitary on (B, E), qubit A untouched."""
-    return concurrence_2q(conjugate_local(rho, u_be))
-
-
 @dataclass(frozen=True)
 class ReductionReport:
     """Concurrence monotonicity under random dynamics local to (B, E)."""
@@ -212,7 +206,7 @@ def verify_localized_reduction(
     for child in root.spawn(trials):
         rng = np.random.Generator(np.random.Philox(child))
         u = haar_unitary(2 * spec.dim_e, rng)
-        c = concurrence_after_env_unitary(state, u)
+        c = concurrence_2q(conjugate_local(state, u))
         excess = c - c0
         max_c = max(max_c, c)
         max_excess = max(max_excess, excess)

@@ -44,7 +44,7 @@ from .states import (
     check_probabilities,
     conjugate_local,
     local_conjugates,
-    pair_marginals,
+    partial_trace_stack,
 )
 
 __all__ = [
@@ -59,11 +59,8 @@ __all__ = [
     "concurrence_closed_form",
     "concurrence_a_be",
     "cmi_closed_form",
-    "mi_closed_form",
     "sector_unitary",
-    "sector_unitaries",
     "evolve_sector",
-    "evolve_sector_stack",
     "BruteForceEvolver",
 ]
 
@@ -480,7 +477,8 @@ def evolve_sector_stack(state: DensityMatrix, unitaries: np.ndarray) -> np.ndarr
     levels = _sector_levels(state)
     if unitaries.shape[1:] != (2 * levels, 2 * levels):
         raise ValueError(f"need {2 * levels}x{2 * levels} propagators, got {unitaries.shape}")
-    return pair_marginals(local_conjugates(state.mat, unitaries))
+    mats = local_conjugates(state.mat, unitaries)
+    return partial_trace_stack(mats, state.dims, state.dims.labels[:2])[0]
 
 
 class BruteForceEvolver:

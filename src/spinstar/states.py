@@ -20,19 +20,10 @@ from .linalg import dagger, hermitian_part
 __all__ = [
     "DimsSpec",
     "DensityMatrix",
-    "density_spectra",
     "PureState",
-    "check_probabilities",
-    "check_two_qubit",
-    "split_cut",
-    "conjugate_local",
-    "local_lift",
-    "local_conjugates",
-    "pair_marginals",
     "partial_trace",
     "von_neumann_entropy",
     "mutual_information",
-    "mutual_information_stack",
     "conditional_mutual_information",
 ]
 
@@ -103,8 +94,8 @@ class DimsSpec:
         return f"DimsSpec({inner})"
 
 
-#: one qubit, the factor of each marginal of a two-qubit state
-_QUBIT = DimsSpec(("qubit", 2))
+#: the factors of a two-qubit state
+_QUBIT_PAIR = DimsSpec(("A", 2), ("B", 2))
 
 
 def check_two_qubit(rho: DensityMatrix, what: str) -> None:
@@ -256,17 +247,6 @@ def local_conjugates(mat: np.ndarray, u: np.ndarray) -> np.ndarray:
     return full @ mat @ dagger(full)
 
 
-def pair_marginals(mats: np.ndarray) -> np.ndarray:
-    """The (A, B) pair of a (4h, 4h) matrix, or of each in a (..., 4h, 4h) stack.
-
-    Qubits A and B are the first two factors and the rest are traced out;
-    nothing is validated.
-    """
-    rest = mats.shape[-1] // 4
-    blocks = mats.reshape(mats.shape[:-2] + (4, rest, 4, rest))
-    return np.einsum(blocks, [..., 0, 2, 1, 2], [..., 0, 1])
-
-
 def conjugate_local(rho: DensityMatrix, u: np.ndarray) -> DensityMatrix:
     """The (A, B) pair of (I_A x u) rho (I_A x u)^dagger.
 
@@ -278,10 +258,7 @@ def conjugate_local(rho: DensityMatrix, u: np.ndarray) -> DensityMatrix:
     if np.shape(u) != (half, half):
         raise ValueError(f"unitary must be {half}x{half}, got {np.shape(u)}")
     mat = local_conjugates(rho.mat, np.asarray(u))
-    if len(rho.dims) == 2:
-        return DensityMatrix(mat, rho.dims)
-    _, _, pair_dims = _trace_plan(rho.dims, rho.dims.labels[:2])
-    return DensityMatrix(pair_marginals(mat), pair_dims)
+    return DensityMatrix(*partial_trace_stack(mat, rho.dims, rho.dims.labels[:2]))
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
@@ -289,16 +266,29 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
 
     Kept factors preserve their original order regardless of the order given.
     """
-    operand, out, sub = _trace_plan(rho.dims, tuple(keep))
-    reduced = np.einsum(rho.mat.reshape(rho.dims.dims * 2), operand, out)
-    return DensityMatrix(reduced.reshape(sub.total_dim, sub.total_dim), sub)
+    return DensityMatrix(*partial_trace_stack(rho.mat, rho.dims, keep))
+
+
+def partial_trace_stack(
+    mats: np.ndarray, dims: DimsSpec, keep: Iterable[str]
+) -> tuple[np.ndarray, DimsSpec]:
+    """`partial_trace` of a (d, d) matrix over dims, or of each in a (..., d, d) stack.
+
+    Returns the reduced matrices and their factors; nothing is validated.
+    """
+    operand, out, sub = _trace_plan(dims, tuple(keep))
+    reduced = np.einsum(mats.reshape(mats.shape[:-2] + dims.dims * 2), operand, out)
+    return reduced.reshape(mats.shape[:-2] + (sub.total_dim, sub.total_dim)), sub
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _trace_plan(
     dims: DimsSpec, keep: tuple[str, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...], DimsSpec]:
-    """The einsum axes that trace `dims` down to the `keep` factors, and the kept factors."""
+) -> tuple[tuple, tuple, DimsSpec]:
+    """The einsum axes that trace a stack over `dims` down to the `keep` factors, and those factors.
+
+    The axes lead with an Ellipsis, which stands for the stack axes and for none on one matrix.
+    """
     keep_set = set(_label_group(dims, keep))
     kept = [i for i, lab in enumerate(dims.labels) if lab in keep_set]
     n = len(dims)
@@ -306,7 +296,7 @@ def _trace_plan(
     ket = [n + i if i in kept else i for i in range(n)]
     out = kept + [n + i for i in kept]
     sub = DimsSpec(*((dims.labels[i], dims.dims[i]) for i in kept))
-    return (*range(n), *ket), tuple(out), sub
+    return (..., *range(n), *ket), (..., *out), sub
 
 
 def _check_base(base: float) -> float:
@@ -361,11 +351,9 @@ def mutual_information_stack(mats: np.ndarray, spectra: np.ndarray, base: float 
     a failure gives its message for the first offending matrix.
     """
     base = _check_base(base)
-    pairs = mats.reshape(-1, 2, 2, 2, 2)
-    # the A and B marginals of each pair, traced as `partial_trace` traces
-    keep_a = np.einsum(pairs, [4, 0, 1, 2, 1], [4, 0, 2])
-    keep_b = np.einsum(pairs, [4, 0, 1, 0, 2], [4, 1, 2])
-    marginal_spectra = density_spectra(np.stack([keep_a, keep_b], axis=1), _QUBIT)
+    keep_a, qubit = partial_trace_stack(mats, _QUBIT_PAIR, ("A",))
+    keep_b, _ = partial_trace_stack(mats, _QUBIT_PAIR, ("B",))
+    marginal_spectra = density_spectra(np.stack([keep_a, keep_b], axis=1), qubit)
     return np.array(
         [
             _checked_mutual_information(

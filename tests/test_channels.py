@@ -25,13 +25,18 @@ from spinstar import (
     extract_kraus,
     hidden_entanglement,
     partial_trace,
-    random_phase_channel,
     ruc_trajectory,
     zero_discord_family,
 )
 from spinstar import model
-from spinstar.channels import RUC_CHUNK, kraus_audit, kraus_operators
-from spinstar.linalg import SIGMA_Z, dagger, haar_unitary, identity, max_abs
+from spinstar.channels import (
+    PHASE_DIAL_WEIGHTS,
+    RUC_CHUNK,
+    _phase_dial,
+    kraus_audit,
+    kraus_operators,
+)
+from spinstar.linalg import dagger, haar_unitary, identity, max_abs
 from spinstar.model import LARGE_N, sector_unitaries, sector_unitary
 from spinstar.states import conjugate_local
 
@@ -410,7 +415,7 @@ class TestRandomUnitaryChannel:
             RandomUnitaryChannel([(1.0, np.array([[1.0, 0.0], [0.0, 2.0]]))])
 
     def test_full_dephasing_kills_bell_concurrence(self):
-        channel = RandomUnitaryChannel([(0.5, identity(2)), (0.5, SIGMA_Z)])
+        channel = RandomUnitaryChannel([(0.5, identity(2)), (0.5, np.diag([1.0, -1.0]))])
         rho = density_from_vec(bell_pair(), TWO_QUBITS)
         out = apply_random_unitary(channel, rho)
         assert concurrence_2q(out) == pytest.approx(0.0, abs=1e-12)
@@ -457,10 +462,9 @@ class TestRucTrajectory:
         samples = ruc_trajectory(rho, grid)
         assert len(samples) == len(grid)
         for t, sample in zip(grid, samples):
-            channel = random_phase_channel(t)
             members = [
                 EnsembleMember(p, conjugate_local(rho, u))
-                for p, u in zip(channel.probabilities, channel.unitaries)
+                for p, u in zip(PHASE_DIAL_WEIGHTS, _phase_dial(np.float64(t)))
             ]
             assert sample.t == t
             assert (
@@ -475,9 +479,9 @@ class TestRucTrajectory:
 
 def test_random_phase_channel_branches():
     t = 0.9
-    channel = random_phase_channel(2.0 * t)
+    unitaries = _phase_dial(np.float64(2.0 * t))
     half = 0.5 * 2.0 * t
     forward = np.diag([np.exp(-1j * half), np.exp(1j * half)])
-    np.testing.assert_allclose(channel.unitaries[0], forward, atol=1e-15)
-    np.testing.assert_allclose(channel.unitaries[1], forward.conj(), atol=1e-15)
-    assert channel.probabilities == (0.5, 0.5)
+    np.testing.assert_allclose(unitaries[0], forward, atol=1e-15)
+    np.testing.assert_allclose(unitaries[1], forward.conj(), atol=1e-15)
+    assert PHASE_DIAL_WEIGHTS == (0.5, 0.5)

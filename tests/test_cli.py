@@ -213,7 +213,7 @@ class TestSweep:
     @pytest.mark.xfail(
         strict=True,
         reason="the pair's smallest eigenvalue sits just under RANK_TOL, which "
-        "spin_flip_coefficients drops although its amplitude moves the concurrence",
+        "entanglement._spin_flip_stack drops although its amplitude moves the concurrence",
     )
     def test_tiny_p_passes_the_consistency_check(self, capsys):
         """Fails at omega*t = 1.08125: closed form 0.470225712007 vs numeric

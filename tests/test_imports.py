@@ -89,3 +89,41 @@ def test_traced_layer_resolves(layer, module, attr):
         assert attr in vars(getattr(owner, class_name))
     else:
         assert callable(getattr(owner, attr))
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def readme_example() -> str:
+    """The Python code block under the README's "Library example" heading."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Library example", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def referenced_names(source: str) -> set[str]:
+    """Identifiers read as a name, and attributes read off any object, in the source."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_public_name_has_a_user():
+    """Each name `spinstar` exports is read by the library itself, the README
+    example, the acceptance criteria or the benchmark tracer; a name only unit
+    tests read is not public.  String entries of ``__all__``, definitions and
+    imports do not count as a use."""
+    spinstar = importlib.import_module("spinstar")
+    used = referenced_names(readme_example())
+    used |= referenced_names((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    for path in PACKAGE.glob("*.py"):
+        used |= referenced_names(path.read_text(encoding="utf-8"))
+    for _, _, attr in span_targets():
+        used.update(attr.split("."))
+    exported = [name for name in spinstar.__all__ if not name.startswith("__")]
+    assert [name for name in exported if name not in used] == []
+    assert len(set(spinstar.__all__)) == len(spinstar.__all__)

@@ -3,20 +3,20 @@
 import numpy as np
 import pytest
 
+from spinstar.entanglement import SPIN_FLIP
 from spinstar.linalg import (
-    SIGMA_MINUS,
-    SIGMA_PLUS,
-    SIGMA_X,
     SIGMA_Y,
-    SIGMA_Z,
     dagger,
     haar_unitary,
     herm_eig,
     hermitian_part,
     identity,
     max_abs,
-    tensor,
 )
+
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+#: raises the lower level |0> to |1>; not Hermitian
+SIGMA_PLUS = np.array([[0, 0], [1, 0]], dtype=complex)
 
 
 def random_hermitian(rng, dim):
@@ -25,17 +25,16 @@ def random_hermitian(rng, dim):
 
 
 def test_pauli_constants():
-    assert np.array_equal(SIGMA_X @ SIGMA_X, np.eye(2))
     assert np.array_equal(SIGMA_Y @ SIGMA_Y, np.eye(2))
-    assert np.array_equal(SIGMA_Z, np.diag([1, -1]).astype(complex))
-    # raising maps the lower level |0> to |1>
-    assert np.array_equal(SIGMA_PLUS @ np.array([1, 0]), np.array([0, 1]))
-    assert np.array_equal(SIGMA_MINUS, dagger(SIGMA_PLUS))
+    assert np.array_equal(SIGMA_Y, dagger(SIGMA_Y))
+    assert np.array_equal(SIGMA_Y, np.array([[0, -1j], [1j, 0]]))
 
 
 def test_constants_are_readonly():
     with pytest.raises(ValueError):
-        SIGMA_X[0, 0] = 5.0
+        SIGMA_Y[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        SPIN_FLIP[0, 0] = 5.0
 
 
 def test_identity_basic():
@@ -50,36 +49,17 @@ def test_dagger():
     assert np.array_equal(dagger(m), np.array([[1, 3], [-2j, 4]], dtype=complex))
 
 
-def test_tensor_identity_case():
-    assert np.array_equal(tensor(identity(2), identity(2)), identity(4))
-
-
-def test_tensor_diagonal_case():
-    assert np.array_equal(tensor(SIGMA_Z, identity(2)), np.diag([1, 1, -1, -1]).astype(complex))
-
-
 def test_tensor_sigma_y_pair():
-    """sigma_y x sigma_y is the real antidiagonal (-1, 1, 1, -1)."""
-    yy = tensor(SIGMA_Y, SIGMA_Y)
+    """sigma_y x sigma_y is the real antidiagonal (-1, 1, 1, -1), and so is the spin flip."""
+    yy = np.kron(SIGMA_Y, SIGMA_Y)
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 3] = -1
     expected[1, 2] = 1
     expected[2, 1] = 1
     expected[3, 0] = -1
     assert np.array_equal(yy, expected)
-
-
-def test_tensor_associative_on_integer_matrices():
-    a = np.array([[1, 2], [3, 4]], dtype=complex)
-    b = np.array([[0, 1], [1, 1]], dtype=complex)
-    c = np.array([[2, 0], [0, 5]], dtype=complex)
-    assert np.array_equal(tensor(tensor(a, b), c), tensor(a, tensor(b, c)))
-    assert np.array_equal(tensor(a, b, c), tensor(a, tensor(b, c)))
-
-
-def test_tensor_requires_a_factor():
-    with pytest.raises(ValueError):
-        tensor()
+    assert SPIN_FLIP.dtype == np.float64
+    assert np.array_equal(SPIN_FLIP, expected.real)
 
 
 def test_max_abs():

@@ -15,7 +15,6 @@ from spinstar import (
     build_initial_state,
     build_w_state,
     concurrence_2q,
-    concurrence_after_env_unitary,
     conditional_mutual_information,
     is_markov,
     make_markov_state,
@@ -26,6 +25,7 @@ from spinstar import (
 )
 from spinstar.linalg import haar_unitary, identity
 from spinstar.markov import CMI_TOL
+from spinstar.states import conjugate_local
 
 # conditioning on the bath of the single-excitation state leaves
 # log2(3) - 2/3 of correlation between the qubits, so it is not Markov
@@ -212,7 +212,7 @@ class TestEnvUnitaryConcurrence:
     def test_identity_leaves_the_pair_alone(self):
         rho = build_initial_state(SpinStarParams())
         baseline = concurrence_2q(partial_trace(rho, ("A", "B")))
-        assert concurrence_after_env_unitary(rho, identity(8)) == pytest.approx(
+        assert concurrence_2q(conjugate_local(rho, identity(8))) == pytest.approx(
             baseline, abs=1e-12
         )
 
@@ -222,16 +222,16 @@ class TestEnvUnitaryConcurrence:
         params = SpinStarParams()
         rho = build_initial_state(params)
         u = sector_unitary(params, 3.332162203618774)
-        assert concurrence_after_env_unitary(rho, u) > 0.2
+        assert concurrence_2q(conjugate_local(rho, u)) > 0.2
 
     def test_validation(self):
         rho = build_initial_state(SpinStarParams())
         with pytest.raises(ValueError, match="unitary must be"):
-            concurrence_after_env_unitary(rho, identity(4))
+            concurrence_2q(conjugate_local(rho, identity(4)))
         rng = np.random.default_rng(39)
         bad = random_density(rng, DimsSpec(("A", 2), ("B", 3), ("E", 2)))
         with pytest.raises(ValueError, match="qubit"):
-            concurrence_after_env_unitary(bad, identity(6))
+            concurrence_2q(conjugate_local(bad, identity(6)))
 
 
 class TestLocalizedReduction:

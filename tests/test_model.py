@@ -26,12 +26,13 @@ from spinstar import (
     partial_trace,
     sector_unitary,
 )
-from spinstar.linalg import SIGMA_PLUS, dagger, identity, tensor
+from spinstar.linalg import dagger, identity
 from spinstar.cli import SWEEP_MI_TOL
 from spinstar.model import (
     ENV_LEVELS,
     MAX_BATH_SPINS,
     ORACLE_CHUNK_AMPLITUDES,
+    PAIR_DIMS,
     PAIR_ENV_DIMS,
     ZeroDiscordFamily,
     mi_closed_form,
@@ -131,20 +132,30 @@ class TestFrequencies:
 
 class TestClosedFormAgainstSector:
     """The closed form is the X-state concurrence of the evolved pair at every
-    mixing edge and branch angle, including product and absent branches."""
+    mixing edge and branch angle, including product and absent branches, on
+    the sector route and on the full-space oracle."""
 
-    @pytest.mark.parametrize("n_spins", [7, LARGE_N])
+    @pytest.mark.parametrize(
+        "n_spins, oracle",
+        [(7, False), (LARGE_N, False), (2, True), (7, True)],
+        ids=["7", "inf", "oracle-2", "oracle-7"],
+    )
     @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
-    def test_matches_sector_evolution(self, n_spins, p):
+    def test_matches_sector_evolution(self, n_spins, oracle, p):
         worst = 0.0
         for alpha in EDGE_ANGLES:
             for beta in EDGE_ANGLES:
                 params = default_params(env_spins=n_spins, p=p, alpha=alpha, beta=beta)
-                rho0 = build_initial_state(params)
-                for omega_t in np.linspace(0.0, 4.0 * math.pi, 400):
-                    t = float(omega_t) / params.omega
-                    numeric = concurrence_2q(evolve_sector(rho0, t, params))
-                    worst = max(worst, abs(concurrence_closed_form(params, t) - numeric))
+                times = np.linspace(0.0, 4.0 * math.pi, 400) / params.omega
+                if oracle:
+                    mats = BruteForceEvolver(params).reduced_states(times)
+                    pairs = [DensityMatrix(m, PAIR_DIMS) for m in mats]
+                else:
+                    rho0 = build_initial_state(params)
+                    pairs = [evolve_sector(rho0, float(t), params) for t in times]
+                for t, pair in zip(times, pairs):
+                    closed = concurrence_closed_form(params, float(t))
+                    worst = max(worst, abs(closed - concurrence_2q(pair)))
         assert worst <= 1e-12
 
     def test_product_branches_give_exactly_zero(self):
@@ -414,11 +425,12 @@ def _bit_index(evolver, *set_bits):
 def _dense_reduced_pair(params, t):
     """Reference: the pair state from the dense 2^(N+1) flip-flop generator."""
     n = params.env_spins
+    sigma_plus = np.array([[0, 0], [1, 0]], dtype=complex)  # raises |0> to |1>
     raise_all = sum(
-        tensor(identity(2**i), SIGMA_PLUS, identity(2 ** (n - 1 - i))) for i in range(n)
+        np.kron(np.kron(identity(2**i), sigma_plus), identity(2 ** (n - 1 - i))) for i in range(n)
     )
     h = params.coupling * (
-        np.kron(SIGMA_PLUS, dagger(raise_all)) + np.kron(dagger(SIGMA_PLUS), raise_all)
+        np.kron(sigma_plus, dagger(raise_all)) + np.kron(dagger(sigma_plus), raise_all)
     )
     vals, vecs = np.linalg.eigh(h)
     u = vecs @ np.diag(np.exp(-1j * vals * t)) @ dagger(vecs)
@@ -640,6 +652,20 @@ class TestWindowMutualInformation:
         assert np.all(np.diff(window_mi[turn:]) < 0.0)
         assert window_mi.max() < mis[0]
         assert abs(omega_ts[exits[0] + turn] - MI_TURN_T) <= 0.02
+
+    def test_closed_form_has_single_interior_maximum(self):
+        """Criterion 7's shape on the closed form, at 20 001 points of the
+        window: one interior maximum, strict rises before it and strict falls
+        after it, every value below the initial log10 2."""
+        params = default_params()
+        omega_ts = np.linspace(2.603, 3.333, 20001)
+        mis = mi_closed_form(params, omega_ts / params.omega, 10)
+        turn = int(np.argmax(mis))
+        assert 0 < turn < mis.size - 1
+        assert np.all(np.diff(mis[: turn + 1]) > 0.0)
+        assert np.all(np.diff(mis[turn:]) < 0.0)
+        assert mis.max() < math.log10(2.0)
+        assert abs(omega_ts[turn] - MI_TURN_T) <= 0.002
 
     def test_window_entropy_matches_x_state_spectrum(self):
         """mutual_information on the criterion-7 window states equals the

@@ -32,7 +32,6 @@ from spinstar.states import (
     density_spectra,
     local_conjugates,
     mutual_information,
-    pair_marginals,
     partial_trace,
     split_cut,
 )
@@ -116,7 +115,8 @@ def loop_entropy(vals, base):
 def loop_point(rho0, t, params, base):
     """Pair, marginals, spectra, concurrence and I(A:B) of one sweep point."""
     u = loop_sector_unitary(params, t, rho0.dims.dims[2])
-    pair = np.array(pair_marginals(local_conjugates(rho0.mat, u)), dtype=complex)
+    pair, _ = loop_partial_trace(local_conjugates(rho0.mat, u), rho0.dims, ("A", "B"))
+    pair = np.array(pair, dtype=complex)
     spectrum = loop_density_spectra(pair, PAIR_DIMS)
     marginals = []
     for keep in PAIR_CUT:
