@@ -14,7 +14,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .channels import RucSample, kraus_audit, ruc_trajectory
+from .channels import kraus_audit, ruc_trajectory
 from .entanglement import RANK_TOL, concurrence_2q, concurrence_2q_stack, inaccessible_concurrence
 from .markov import (
     CMI_TOL,
@@ -59,7 +59,10 @@ SWEEP_CONSISTENCY_TOL = 1e-6
 #: is rounding, mostly the entropy -x log x of an eigenvalue that rounds to
 #: about 1e-16 instead of 0: at most 8.4e-15 over 260 000 points (1300 random
 #: sets of `LARGE_N` or N = 2 to 5000, p in {0, 1}, tiny or random, special
-#: or random angles, omega*t up to 1e4, every log base)
+#: or random angles, omega*t up to 1e4, every log base).  An --oracle sweep
+#: adds the phase error of ORACLE_MAX_ANGLE, 16 eps per radian of its largest
+#: angle: its gap stayed under 16% of that sum on 300 random grids (N = 2 to
+#: 62, omega*t up to 1e6, p in {0, 1e-9, random, 1})
 SWEEP_MI_TOL = 1e-12
 
 #: largest rotation angle of an --oracle sweep.  The oracle's eigenphases
@@ -180,8 +183,8 @@ def _grid_from(args: argparse.Namespace) -> np.ndarray:
 
 def _check_angles(
     params: SpinStarParams, omega_t_max: float, top_rung: int, limit: float = math.inf
-) -> None:
-    """Refuse a run whose largest rotation angle Omega_n t is not below limit.
+) -> float:
+    """The largest rotation angle Omega_n t of a run; refuse it unless below limit.
 
     The run rotates ladder rungs 0..top_rung up to omega*t = omega_t_max; on a
     finite bath the rung frequency peaks at rung (N - 1) // 2.
@@ -194,6 +197,7 @@ def _check_angles(
             f"rotation angle {angle:.3g} is not below {limit:.3g}: omega*t up to "
             f"{omega_t_max!r}, --coupling {params.coupling!r}"
         )
+    return angle
 
 
 def _fmt(x: float) -> str:
@@ -292,27 +296,24 @@ def _oracle_columns(
     return np.concatenate(c_numeric), np.concatenate(mi)
 
 
-def _sweep_failure(grid: np.ndarray, c_closed: np.ndarray, c_numeric: np.ndarray) -> str | None:
-    """The first grid point where the closed form and the numeric column disagree, or None."""
-    bad = np.abs(c_closed - c_numeric) > SWEEP_CONSISTENCY_TOL
+def _first_failure(
+    grid: np.ndarray, checks: Sequence[tuple[str, np.ndarray, np.ndarray, float]]
+) -> str | None:
+    """The first grid point where a column is off its closed form, or None.
+
+    Each check is (column, values, closed form, bound).  A gap that is not at
+    most its bound fails, NaN included; at the first failing point the first
+    failing check in the given order is named.
+    """
+    bad = np.array([~(np.abs(values - closed) <= bound) for _, values, closed, bound in checks])
     if not bad.any():
         return None
-    i = int(np.argmax(bad))
+    row = int(np.argmax(bad.any(axis=0)))
+    column, values, closed, bound = checks[int(np.argmax(bad[:, row]))]
+    value, expected = values[row], closed[row]
     return (
-        f"omega*t={grid[i]:.6g}: closed form {c_closed[i]:.12g} vs numeric {c_numeric[i]:.12g}"
-    )
-
-
-def _mi_failure(grid: np.ndarray, mi_closed: np.ndarray, mi: np.ndarray) -> str | None:
-    """The first grid point where the mi column is off its closed form, or None."""
-    gap = np.abs(mi - mi_closed)
-    bad = ~(gap <= SWEEP_MI_TOL)
-    if not bad.any():
-        return None
-    i = int(np.argmax(bad))
-    return (
-        f"omega*t={grid[i]:.6g}: mi {mi[i]:.17g} vs closed form {mi_closed[i]:.17g}, "
-        f"gap {gap[i]:.1e} exceeds {SWEEP_MI_TOL:.1e}"
+        f"omega*t={grid[row]:.6g}: {column} {value:.17g} vs closed form {expected:.17g}, "
+        f"gap {abs(value - expected):.1e} exceeds {bound:.3g}"
     )
 
 
@@ -322,7 +323,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         grid = _grid_from(args)
         if args.oracle and params.is_large_n:
             raise ValueError("--oracle needs a finite bath; pass --env-spins N")
-        _check_angles(
+        angle = _check_angles(
             params, args.t_max, ENV_LEVELS - 2, ORACLE_MAX_ANGLE if args.oracle else math.inf
         )
         evolver = BruteForceEvolver(params) if args.oracle else None
@@ -334,13 +335,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     c_closed = np.array([concurrence_closed_form(params, t) for t in times.tolist()])
     if evolver is None:
         c_numeric, mi = _sector_columns(params, times, base)
+        mi_tol = SWEEP_MI_TOL
     else:
         c_numeric, mi = _oracle_columns(evolver, times, base)
-    failure = _sweep_failure(grid, c_closed, c_numeric)
-    if failure is None and evolver is None:
-        # the oracle's mi is left unchecked: its phase error grows with t, and
-        # no bound of that error's effect on the entropies has been measured
-        failure = _mi_failure(grid, mi_closed_form(params, times, base), mi)
+        mi_tol = SWEEP_MI_TOL + 16 * sys.float_info.epsilon * angle
+    failure = _first_failure(
+        grid,
+        [
+            ("c_numeric", c_numeric, c_closed, SWEEP_CONSISTENCY_TOL),
+            ("mi", mi, mi_closed_form(params, times, base), mi_tol),
+        ],
+    )
     if failure is not None:
         print(f"consistency failure at {failure}", file=sys.stderr)
         return EXIT_CHECK
@@ -447,33 +452,6 @@ def _cmd_markov_check(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_CHECK
 
 
-def _hidden_closed_form_failure(grid: np.ndarray, samples: Sequence[RucSample]) -> str | None:
-    """The first `hidden` value off the phase dial's closed forms, or None.
-
-    For the Bell input the mixture keeps |cos omega t|, each branch keeps 1,
-    and the difference is hidden.
-    """
-    values = np.array(
-        [
-            [s.mixture_concurrence for s in samples],
-            [s.ensemble_concurrence for s in samples],
-            [s.hidden for s in samples],
-        ]
-    )
-    cos_t = np.abs(np.cos(grid))
-    closed = np.stack([cos_t, np.ones_like(cos_t), 1.0 - cos_t])
-    bad = ~(np.abs(values - closed) <= HIDDEN_CLOSED_FORM_TOL)
-    if not bad.any():
-        return None
-    row, col = np.unravel_index(np.argmax(bad.T), bad.T.shape)
-    value, expected = values[col, row], closed[col, row]
-    column = HIDDEN_HEADER.split(",")[col + 1]
-    return (
-        f"omega*t={grid[row]:.6g}: {column} {value:.17g} vs closed form {expected:.17g}, "
-        f"gap {abs(value - expected):.1e} exceeds {HIDDEN_CLOSED_FORM_TOL:.3g}"
-    )
-
-
 def _cmd_hidden(args: argparse.Namespace) -> int:
     try:
         grid = _grid_from(args)
@@ -496,7 +474,20 @@ def _cmd_hidden(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_CHECK
-    failure = _hidden_closed_form_failure(grid, samples)
+    # for the Bell input the mixture keeps |cos omega t|, each branch keeps 1,
+    # and the difference is hidden
+    cos_t = np.abs(np.cos(grid))
+    failure = _first_failure(
+        grid,
+        [
+            (column, np.array([getattr(s, field) for s in samples]), closed, HIDDEN_CLOSED_FORM_TOL)
+            for column, field, closed in (
+                ("c_mixture", "mixture_concurrence", cos_t),
+                ("c_ensemble_avg", "ensemble_concurrence", np.ones_like(cos_t)),
+                ("c_hidden", "hidden", 1.0 - cos_t),
+            )
+        ],
+    )
     if failure is not None:
         print(f"consistency failure at {failure}", file=sys.stderr)
         return EXIT_CHECK

@@ -5,12 +5,14 @@ A name counts as used when it appears as an identifier or attribute base
 anywhere in the module, or as a string in ``__all__`` (a re-export).
 Imports under ``if TYPE_CHECKING:`` serve annotations only and are exempt.
 
-Every name the benchmark tracer patches also still resolves in its module.
+Every name the benchmark tracer patches also still resolves in its module,
+and the package version is written once, as ``spinstar.__version__``.
 """
 
 import ast
 import importlib
 import pathlib
+import tomllib
 
 import pytest
 
@@ -127,3 +129,18 @@ def test_every_public_name_has_a_user():
     exported = [name for name in spinstar.__all__ if not name.startswith("__")]
     assert [name for name in exported if name not in used] == []
     assert len(set(spinstar.__all__)) == len(spinstar.__all__)
+
+
+def test_version_is_written_once():
+    """pyproject.toml reads the version from the package instead of repeating it.
+
+    tomllib reads the file as written: setuptools' own reader would expand the
+    attribute but warns that its `[tool.setuptools]` support is beta, which
+    this suite turns into an error."""
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        config = tomllib.load(fh)
+    assert "version" not in config["project"]
+    assert config["project"]["dynamic"] == ["version"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "spinstar.__version__"}
+    version = importlib.import_module("spinstar").__version__
+    assert isinstance(version, str) and version
