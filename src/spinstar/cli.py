@@ -7,6 +7,7 @@ check fails.  CSV output is deterministic for a given flag set.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import sys
@@ -192,6 +193,11 @@ def _check_angles(
     if not params.is_large_n:
         top_rung = min(top_rung, (int(params.env_spins) - 1) // 2)
     angle = params.mode_frequency(top_rung) * (omega_t_max / params.omega)
+    if math.isinf(angle):
+        raise ValueError(
+            f"rotation angle overflows: omega*t up to {omega_t_max!r}, "
+            f"--coupling {params.coupling!r}"
+        )
     if not angle < limit:
         raise ValueError(
             f"rotation angle {angle:.3g} is not below {limit:.3g}: omega*t up to "
@@ -200,20 +206,24 @@ def _check_angles(
     return angle
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+def _emit(outputs: Sequence[tuple[str | None, str]]) -> None:
+    """Write each (path, text), a None path to stdout.
 
-
-def _emit(lines: list[str], path: str | None) -> None:
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+    Every file is opened before any text is written, so a path that cannot
+    be opened fails before any text is written.
+    """
+    with contextlib.ExitStack() as stack:
+        targets = [
+            sys.stdout
+            if path is None
+            else stack.enter_context(open(path, "w", encoding="utf-8", newline=""))
+            for path, _ in outputs
+        ]
+        for fh, (_, text) in zip(targets, outputs):
             fh.write(text)
 
 
-def _write_svg(path: str, grid: np.ndarray, series: list[tuple[str, str, np.ndarray]]) -> None:
+def _svg_text(grid: np.ndarray, series: list[tuple[str, str, np.ndarray]]) -> str:
     """Static line plot: (label, dash pattern, values) per series."""
     width, height = 720.0, 420.0
     left, right, top, bottom = 60.0, 20.0, 20.0, 50.0
@@ -265,8 +275,7 @@ def _write_svg(path: str, grid: np.ndarray, series: list[tuple[str, str, np.ndar
         )
         parts.append(f'<text x="{left + 46.0:g}" y="{y + 4.0:.2f}" font-size="11">{label}</text>')
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"
 
 
 def _sector_columns(
@@ -350,26 +359,22 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"consistency failure at {failure}", file=sys.stderr)
         return EXIT_CHECK
     c_abe = concurrence_a_be(params)
-    rows = [SWEEP_HEADER]
-    # floats made row by row: whole-column lists would outlive the rows they feed
-    columns = (map(float, column) for column in (grid, c_closed, c_numeric, mi))
-    for omega_t, closed, numeric, mi_t in zip(*columns):
-        c_inaccessible = inaccessible_concurrence(c_abe, numeric)
-        rows.append(
-            ",".join(_fmt(v) for v in (omega_t, closed, numeric, mi_t, c_abe, c_inaccessible))
-        )
+    c_inaccessible = inaccessible_concurrence(c_abe, c_numeric)
+    # the constant c_abe is formatted once, into the row template; the columns
+    # are read row by row, since whole-column lists would outlive the rows they feed
+    template = f"%.12g,%.12g,%.12g,%.12g,{c_abe:.12g},%.12g"
+    columns = (grid, c_closed, c_numeric, mi, c_inaccessible)
+    text = "\n".join([SWEEP_HEADER, *(template % row for row in zip(*columns))]) + "\n"
+    outputs = [(args.output, text)]
+    if args.svg is not None:
+        series = [
+            ("pair concurrence", "", c_numeric),
+            ("mutual information", "8 4", mi),
+            ("whole-cut concurrence", "2 3", np.full(len(grid), c_abe)),
+        ]
+        outputs.append((args.svg, _svg_text(grid, series)))
     try:
-        _emit(rows, args.output)
-        if args.svg is not None:
-            _write_svg(
-                args.svg,
-                grid,
-                [
-                    ("pair concurrence", "", c_numeric),
-                    ("mutual information", "8 4", mi),
-                    ("whole-cut concurrence", "2 3", np.full(len(grid), c_abe)),
-                ],
-            )
+        _emit(outputs)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -400,7 +405,7 @@ def _cmd_kraus_check(args: argparse.Namespace) -> int:
     worst_residual = max(0.0, float(residuals.max()))
     worst_choi = min(0.0, float(choi_min.min()))
     worst_dev = max(0.0, float(deviations.max()))
-    print("times (omega*t): " + " ".join(_fmt(v) for v in omega_times))
+    print("times (omega*t): " + " ".join(f"{v:.12g}" for v in omega_times))
     print(f"completeness residual (max): {worst_residual:.3e}  [tol 1e-09]")
     print(f"choi min eigenvalue (min): {worst_choi:.3e}  [floor -1e-08]")
     print(f"channel vs traced evolution (max dev): {worst_dev:.3e}  [tol 1e-09]")
@@ -494,14 +499,12 @@ def _cmd_hidden(args: argparse.Namespace) -> int:
     rows = [HIDDEN_HEADER]
     for omega_t, s in zip(grid, samples):
         rows.append(
-            ",".join(
-                _fmt(v)
-                for v in (omega_t, s.mixture_concurrence, s.ensemble_concurrence, s.hidden)
-            )
+            "%.12g,%.12g,%.12g,%.12g"
+            % (omega_t, s.mixture_concurrence, s.ensemble_concurrence, s.hidden)
         )
     del samples  # the rows carry the same values; free them before the text is built
     try:
-        _emit(rows, args.output)
+        _emit([(args.output, "\n".join(rows) + "\n")])
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -156,17 +156,28 @@ def ensemble_concurrence(members: Sequence[EnsembleMember], cut: Cut) -> float:
     return math.fsum(m.weight * concurrence_pure(m.state, cut) for m in members)
 
 
-def inaccessible_concurrence(c_whole: float, c_sys: float) -> float:
+def inaccessible_concurrence(
+    c_whole: float | np.ndarray, c_sys: float | np.ndarray
+) -> float | np.ndarray:
     """Entanglement bound in the environment cut: max(0, c_whole - c_sys).
 
-    c_whole must dominate c_sys up to 1e-9; a larger deficit signals an
-    upstream computation bug and is rejected.
+    Either argument may be an array, and the bound is taken elementwise; two
+    scalars give a float.  c_whole must dominate c_sys up to 1e-9; a larger
+    deficit, or a NaN, signals an upstream computation bug and is rejected
+    for the first offending pair in row-major order.
     """
-    if not c_whole >= c_sys - 1e-9:
+    c_whole, c_sys = np.broadcast_arrays(np.asarray(c_whole, float), np.asarray(c_sys, float))
+    bad = ~(c_whole >= c_sys - 1e-9)
+    if bad.any():
+        first = np.argmax(bad)
         raise ValueError(
-            f"whole-cut concurrence {c_whole:.12g} below system concurrence {c_sys:.12g}"
+            f"whole-cut concurrence {c_whole.flat[first]:.12g} "
+            f"below system concurrence {c_sys.flat[first]:.12g}"
         )
-    return max(0.0, c_whole - c_sys)
+    gap = c_whole - c_sys
+    # max(0.0, gap) as a float would give it: +0.0 for every gap not above zero
+    bound = np.where(gap > 0.0, gap, 0.0)
+    return bound if bound.ndim else float(bound)
 
 
 def convexity_failure(hidden: float) -> ArithmeticError:

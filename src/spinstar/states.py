@@ -299,31 +299,42 @@ def _trace_plan(
     return (..., *range(n), *ket), (..., *out), sub
 
 
+#: the accepted logarithm bases of the entropy functionals
+_LOG_BASES = (2, 10, math.e)
+
+
 def _check_base(base: float) -> float:
-    if base not in (2, 10, math.e):
+    if base not in _LOG_BASES:
         raise ValueError(f"log base must be 2, e, or 10, got {base!r}")
     return float(base)
 
 
-def _spectrum_entropy(vals: np.ndarray, base: float) -> float:
-    """-sum(p log p) of one ascending spectrum in a checked base, 0 log 0 = 0.
+def _floor_failure(low: float) -> ValueError:
+    return ValueError(f"state eigenvalue {low:.3e} below floor {ENTROPY_EIG_FLOOR:.1e}")
 
-    The one entropy kernel: a vectorised sum over a stack of spectra rounds
-    differently, so stacks call this once per spectrum.
+
+def _negative_mi_failure(value: float) -> ArithmeticError:
+    return ArithmeticError(f"mutual information {value:.3e} below -1e-9; numeric corruption")
+
+
+def _spectrum_entropy(vals: np.ndarray, base: float) -> float | np.ndarray:
+    """-sum(p log p) of an ascending spectrum, or of each in a (..., n) stack, 0 log 0 = 0.
+
+    The one entropy kernel, in a checked base.  Entries at or below zero drop
+    out.  A stack sums each spectrum with one stacked product: that keeps the
+    bits of the 1-D dot product, where a .sum() or einsum rounds differently.
+    One spectrum whose lowest entry is below ENTROPY_EIG_FLOOR is refused; a
+    stack leaves that check to its caller.
     """
-    low = float(vals[0])
+    if vals.ndim > 1:
+        kept = np.where(vals > 0.0, vals, 1.0)  # log 1 = 0
+        return -(kept[..., None, :] @ np.log(kept)[..., :, None])[..., 0, 0] / math.log(base)
+    low = vals.item(0)
     if low < ENTROPY_EIG_FLOOR:
-        raise ValueError(f"state eigenvalue {low:.3e} below floor {ENTROPY_EIG_FLOOR:.1e}")
+        raise _floor_failure(low)
     # a spectrum with no zero needs no mask: the same values give the same sum
     probs = vals if low > 0.0 else vals[vals > 0.0]
-    return float(-(probs @ np.log(probs)) / math.log(base))
-
-
-def _checked_mutual_information(s_x: float, s_y: float, s_xy: float) -> float:
-    value = s_x + s_y - s_xy
-    if value < -1e-9:
-        raise ArithmeticError(f"mutual information {value:.3e} below -1e-9; numeric corruption")
-    return value
+    return -float(probs @ np.log(probs)) / math.log(base)
 
 
 def von_neumann_entropy(rho: DensityMatrix, base: float = 2) -> float:
@@ -335,11 +346,14 @@ def mutual_information(rho: DensityMatrix, cut: Cut, base: float = 2) -> float:
     """S(X) + S(Y) - S(XY) for a bipartition (X, Y) of all factors."""
     base = _check_base(base)
     x_group, y_group = split_cut(rho.dims, cut)
-    return _checked_mutual_information(
-        von_neumann_entropy(partial_trace(rho, x_group), base),
-        von_neumann_entropy(partial_trace(rho, y_group), base),
-        von_neumann_entropy(rho, base),
+    value = (
+        von_neumann_entropy(partial_trace(rho, x_group), base)
+        + von_neumann_entropy(partial_trace(rho, y_group), base)
+        - von_neumann_entropy(rho, base)
     )
+    if value < -1e-9:
+        raise _negative_mi_failure(value)
+    return value
 
 
 def mutual_information_stack(mats: np.ndarray, spectra: np.ndarray, base: float = 2) -> np.ndarray:
@@ -348,22 +362,23 @@ def mutual_information_stack(mats: np.ndarray, spectra: np.ndarray, base: float 
     The matrices must already be validated, and spectra is their (T, 4)
     ascending spectra, as `density_spectra` returns both.  Each value has
     the bits `mutual_information` gives for the A|B cut of that matrix, and
-    a failure gives its message for the first offending matrix.
+    a failure gives its message for the first offending matrix: at one
+    matrix the S(A), S(B) and S(AB) floors are checked before the sign.
     """
     base = _check_base(base)
     keep_a, qubit = partial_trace_stack(mats, _QUBIT_PAIR, ("A",))
     keep_b, _ = partial_trace_stack(mats, _QUBIT_PAIR, ("B",))
     marginal_spectra = density_spectra(np.stack([keep_a, keep_b], axis=1), qubit)
-    return np.array(
-        [
-            _checked_mutual_information(
-                _spectrum_entropy(s_a, base),
-                _spectrum_entropy(s_b, base),
-                _spectrum_entropy(s_ab, base),
-            )
-            for (s_a, s_b), s_ab in zip(marginal_spectra, spectra)
-        ]
-    )
+    marginal_entropies = _spectrum_entropy(marginal_spectra, base)
+    values = marginal_entropies[:, 0] + marginal_entropies[:, 1] - _spectrum_entropy(spectra, base)
+    lows = np.concatenate([marginal_spectra[:, :, 0], spectra[:, :1]], axis=1)
+    bad = np.concatenate([lows < ENTROPY_EIG_FLOOR, (values < -1e-9)[:, None]], axis=1)
+    if bad.any():
+        row, check = divmod(int(np.argmax(bad)), bad.shape[1])
+        if check < 3:
+            raise _floor_failure(float(lows[row, check]))
+        raise _negative_mi_failure(float(values[row]))
+    return values
 
 
 def conditional_mutual_information(rho: DensityMatrix, base: float = 2) -> float:

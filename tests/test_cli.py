@@ -663,6 +663,8 @@ class TestParserReuse:
         ("markov-check", "--env-spins", "7"),
         ("markov-check", "--large-n"),
         ("markov-check", "--coupling", "5"),
+        ("kraus-check", "--t", "1e308"),
+        ("sweep", "--t-max", "1.5e308"),
     ],
 )
 def test_bad_input_exits_2_with_a_message(capsys, argv):
@@ -680,9 +682,27 @@ def test_bad_input_exits_2_with_a_message(capsys, argv):
 @pytest.mark.parametrize("argv", [("sweep", "--output"), ("hidden", "--output"), ("sweep", "--svg")])
 def test_unwritable_output_exits_2_with_a_message(capsys, tmp_path, argv):
     target = tmp_path / "missing" / "out"
-    code, _, err = run(capsys, *argv, str(target), "--steps", "2")
+    code, out, err = run(capsys, *argv, str(target), "--steps", "2")
     assert code == EXIT_USAGE
+    assert out == ""
     assert err.startswith("error:") and str(target) in err
+
+
+def test_unwritable_svg_leaves_the_csv_file_unwritten(capsys, tmp_path):
+    """Both targets are opened before either is written."""
+    target = tmp_path / "out.csv"
+    svg = tmp_path / "missing" / "plot.svg"
+    code, out, err = run(capsys, "sweep", "--steps", "2", "--output", str(target), "--svg", str(svg))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert str(svg) in err
+    assert target.read_text() == ""
+
+
+@pytest.mark.parametrize("argv", [("kraus-check", "--t", "1e308"), ("sweep", "--t-max", "1.5e308")])
+def test_overflowing_rotation_angle_is_named(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: rotation angle overflows: omega*t up to ")
 
 
 class TestTopLevel:

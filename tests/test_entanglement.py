@@ -274,6 +274,29 @@ def test_inaccessible_concurrence():
         inaccessible_concurrence(0.2, 0.5)
 
 
+def test_inaccessible_concurrence_of_a_column_has_the_bits_of_each_value():
+    rng = np.random.default_rng(17)
+    c_sys = np.concatenate([0.7 * rng.random(200), [0.0, 0.7, 0.7 + 5e-10, -0.0]])
+    c_whole = 0.7
+    column = inaccessible_concurrence(c_whole, c_sys)
+    assert column.shape == c_sys.shape
+    for value, c in zip(column.tolist(), c_sys.tolist()):
+        assert value.hex() == inaccessible_concurrence(c_whole, c).hex()
+
+
+@pytest.mark.parametrize(
+    "c_sys, message",
+    [
+        ([0.1, 0.5, 0.6], "whole-cut concurrence 0.2 below system concurrence 0.5"),
+        ([0.1, math.nan, 0.6], "whole-cut concurrence 0.2 below system concurrence nan"),
+    ],
+)
+def test_inaccessible_concurrence_of_a_column_names_the_first_deficit(c_sys, message):
+    with pytest.raises(ValueError) as caught:
+        inaccessible_concurrence(0.2, np.array(c_sys))
+    assert str(caught.value) == message
+
+
 def test_hidden_entanglement_single_member():
     rho = density_from_vec(bell_pair(), TWO_QUBITS)
     c_ens, c_mix, hidden = hidden_entanglement([EnsembleMember(1.0, rho)])

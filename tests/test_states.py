@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import TWO_QUBITS, bell_pair, density_from_vec, random_density
 from spinstar import (
@@ -20,7 +22,13 @@ from spinstar import (
     von_neumann_entropy,
 )
 from spinstar.model import BruteForceEvolver, branch_vectors, evolve_sector
-from spinstar.states import conjugate_local, density_spectra, mutual_information_stack
+from spinstar.states import (
+    ENTROPY_EIG_FLOOR,
+    _spectrum_entropy,
+    conjugate_local,
+    density_spectra,
+    mutual_information_stack,
+)
 
 
 def test_dims_spec_accessors():
@@ -363,6 +371,57 @@ def test_stacked_mutual_information_reports_the_first_negative_value():
     stacked, single = _stacked_and_single_failures(bad)
     assert single == "mutual information -2.000e+00 below -1e-9; numeric corruption"
     assert stacked == single
+
+
+def test_stacked_mutual_information_reports_a_negative_value_before_a_later_floor():
+    # the scalar loop meets the first point's negative value before it reaches
+    # the second point, whose joint spectrum is below the entropy floor
+    negative = DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex), TWO_QUBITS)
+    negative.eigenvalues = np.full(4, 0.25)
+    below = DensityMatrix(
+        np.diag([0.5, 0.25, 0.25 + 1e-8, -1e-8]).astype(complex), TWO_QUBITS, eig_floor=1e-6
+    )
+    stacked, single = _stacked_and_single_failures([negative, below])
+    assert single == "mutual information -2.000e+00 below -1e-9; numeric corruption"
+    assert stacked == single
+
+
+@st.composite
+def spectrum_stacks(draw):
+    """1 to 6 states of one dimension, 2 or 4, each diagonal with a pure, a
+    maximally mixed or a drawn spectrum; drawn spectra mix exact zeros,
+    eigenvalues in [ENTROPY_EIG_FLOOR, 0) and positive ones scaled to unit trace."""
+    n = draw(st.sampled_from((2, 4)))
+    entry = st.one_of(
+        st.just(0.0),
+        st.floats(ENTROPY_EIG_FLOOR, 0.0, exclude_max=True),
+        st.floats(1e-300, 1.0),
+    )
+    dims = DimsSpec(("X", n))
+    states = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(("pure", "maximally mixed", "drawn")))
+        if kind == "pure":
+            vals = np.eye(n)[draw(st.integers(0, n - 1))]
+        elif kind == "maximally mixed":
+            vals = np.full(n, 1.0 / n)
+        else:
+            vals = np.array(draw(st.lists(entry, min_size=n, max_size=n)))
+            if not (vals > 0.0).any():
+                vals[draw(st.integers(0, n - 1))] = 1.0
+            positive = vals > 0.0
+            vals[positive] *= (1.0 - vals[~positive].sum()) / vals[positive].sum()
+        states.append(DensityMatrix(np.diag(vals).astype(complex), dims))
+    return states
+
+
+@settings(deadline=None)
+@given(spectrum_stacks(), st.sampled_from((2, math.e, 10)))
+def test_stacked_entropy_has_the_bits_of_von_neumann_entropy(states, base):
+    stacked = _spectrum_entropy(np.array([rho.eigenvalues for rho in states]), float(base))
+    assert stacked.shape == (len(states),)
+    for rho, value in zip(states, stacked.tolist()):
+        assert value.hex() == von_neumann_entropy(rho, base).hex()
 
 
 def test_mutual_information_rejects_bad_cuts():
