@@ -29,6 +29,7 @@ from .entanglement import (
 from .linalg import check_orthonormal, dagger, identity, max_abs, ordered_sum, projectors
 from .model import SpinStarParams, ZeroDiscordFamily, evolve_sector_stack, sector_unitaries
 from .states import (
+    PAIR_BATCH,
     DensityMatrix,
     check_probabilities,
     check_two_qubit,
@@ -60,11 +61,6 @@ CHANNEL_EIG_FLOOR = 1e-8
 
 #: ensemble concurrence of a random-unitary trajectory may drift this far from its start
 DRIFT_TOL = 1e-9
-
-#: grid points per stacked batch of `ruc_trajectory`.  Its working arrays stay
-#: near 1 MB whatever the grid length; 256 to 2048 points per batch ran equally
-#: fast, and larger batches only raised the peak resident set
-RUC_CHUNK = 256
 
 #: branch weights of the phase dial
 PHASE_DIAL_WEIGHTS = (0.5, 0.5)
@@ -285,20 +281,21 @@ def ruc_trajectory(rho0: DensityMatrix, t_grid: Sequence[float]) -> tuple[RucSam
     """Branch-resolved evolution of a two-qubit state under the phase dial.
 
     Each grid value is the dial angle of `_phase_dial`.  The grid
-    runs in stacked batches of RUC_CHUNK points, each checked as a whole:
+    runs in stacked batches of PAIR_BATCH points, each checked as a whole:
     unitarity of the branches, validity of every member and mixture state,
     convexity, and drift.  Because each branch evolves by a local unitary,
     the ensemble-averaged concurrence must match the initial concurrence
     within DRIFT_TOL; drift beyond that indicates numerical corruption and
-    raises.  The first failing grid point is the one reported.
+    raises.  The first failing grid point is the one reported.  Each sample
+    has the bits of the one-angle route, whatever the batch.
     """
     check_two_qubit(rho0, "initial state")
     c0 = concurrence_2q(rho0)
     weights = check_probabilities(PHASE_DIAL_WEIGHTS, "unitary branch")
     times = np.asarray(t_grid, dtype=float)
     samples: list[RucSample] = []
-    for start in range(0, len(times), RUC_CHUNK):
-        t = times[start : start + RUC_CHUNK]
+    for start in range(0, len(times), PAIR_BATCH):
+        t = times[start : start + PAIR_BATCH]
         unitaries = _phase_dial(t)
         _check_unitaries(unitaries)
         members = local_conjugates(rho0.mat, unitaries)

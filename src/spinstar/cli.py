@@ -10,12 +10,14 @@ import argparse
 import contextlib
 import functools
 import math
+import operator
+import os
 import sys
 from collections.abc import Sequence
 
 import numpy as np
 
-from .channels import kraus_audit, ruc_trajectory
+from .channels import COMPLETENESS_TOL, kraus_audit, ruc_trajectory
 from .entanglement import RANK_TOL, concurrence_2q, concurrence_2q_stack, inaccessible_concurrence
 from .markov import (
     CMI_TOL,
@@ -28,7 +30,6 @@ from .markov import (
 from .model import (
     ENV_LEVELS,
     LARGE_N,
-    PAIR_DIMS,
     BruteForceEvolver,
     SpinStarParams,
     build_initial_state,
@@ -41,6 +42,8 @@ from .model import (
     zero_discord_family,
 )
 from .states import (
+    PAIR_BATCH,
+    PAIR_DIMS,
     DensityMatrix,
     DimsSpec,
     density_spectra,
@@ -73,13 +76,8 @@ SWEEP_MI_TOL = 1e-12
 #: rung-1 frequency, at most the rung-2 one whose angle `_check_angles` bounds
 ORACLE_MAX_ANGLE = SWEEP_CONSISTENCY_TOL / (16 * sys.float_info.epsilon)
 
-#: grid points per stacked batch of `sweep --oracle`.  Its pair stacks and their
-#: checks take about 1 kB per point, so a batch stays near 0.3 MB whatever the
-#: grid length; 256 to 4096 points per batch ran equally fast
-ORACLE_BATCH = 256
-
-#: largest accepted --steps; `hidden` keeps about 0.15 kB of samples and 0.1 kB
-#: of CSV text per grid point, and its peak resident set at this ceiling is
+#: largest accepted --steps; `hidden` keeps about 0.15 kB of samples, then 0.1 kB
+#: of CSV text, per grid point, and its peak resident set at this ceiling is
 #: checked by `test_largest_grid_stays_under_its_memory_ceiling`
 MAX_STEPS = 100_000
 
@@ -89,6 +87,9 @@ MAX_STEPS = 100_000
 #: revival lowers c_mixture by exactly that eigenvalue; the rest is rounding,
 #: 1.1e-15 at worst over 200 random grids of up to 3000 points
 HIDDEN_CLOSED_FORM_TOL = RANK_TOL + 1e-14
+
+#: kraus-check's floor on Choi eigenvalues and bound on the channel's deviation
+KRAUS_CHOI_FLOOR, KRAUS_DEV_TOL = -1e-8, 1e-9
 
 SWEEP_HEADER = "omega_t,c_closed,c_numeric,mi,c_abe,c_inaccessible"
 HIDDEN_HEADER = "omega_t,c_mixture,c_ensemble_avg,c_hidden"
@@ -206,21 +207,47 @@ def _check_angles(
     return angle
 
 
-def _emit(outputs: Sequence[tuple[str | None, str]]) -> None:
-    """Write each (path, text), a None path to stdout.
+def _fail(code: int, message: str) -> int:
+    """Write a failed run's one line to stderr and return its exit code."""
+    print(message, file=sys.stderr)
+    return code
 
-    Every file is opened before any text is written, so a path that cannot
-    be opened fails before any text is written.
+
+def _open_for_emit(path: str, created: list[str]):
+    """Open path to write text, untruncated; a file it creates joins created."""
+    try:
+        fh = open(path, "x", encoding="utf-8", newline="")
+    except FileExistsError:
+        return open(path, "a", encoding="utf-8", newline="")
+    created.append(path)
+    return fh
+
+
+def _emit(outputs: Sequence[tuple[str | None, str]]) -> int:
+    """Write each (path, text), a None path to stdout, and return the exit code.
+
+    Every file is opened before any is truncated, so a path that cannot be
+    opened exits 2 and leaves the others as they were: an existing file keeps
+    its bytes, and a file this call created is removed.  Files are written in
+    place, not renamed over, so a device such as /dev/null works.
     """
-    with contextlib.ExitStack() as stack:
-        targets = [
-            sys.stdout
-            if path is None
-            else stack.enter_context(open(path, "w", encoding="utf-8", newline=""))
-            for path, _ in outputs
-        ]
-        for fh, (_, text) in zip(targets, outputs):
-            fh.write(text)
+    created: list[str] = []
+    try:
+        with contextlib.ExitStack() as stack:
+            targets = [
+                sys.stdout if path is None else stack.enter_context(_open_for_emit(path, created))
+                for path, _ in outputs
+            ]
+            for fh, (_, text) in zip(targets, outputs):
+                if fh is not sys.stdout and os.path.isfile(fh.name):
+                    fh.truncate(0)
+                fh.write(text)
+    except OSError as exc:
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        return _fail(EXIT_USAGE, f"error: {exc}")
+    return EXIT_OK
 
 
 def _svg_text(grid: np.ndarray, series: list[tuple[str, str, np.ndarray]]) -> str:
@@ -297,8 +324,8 @@ def _oracle_columns(
 ) -> tuple[np.ndarray, np.ndarray]:
     """c_numeric and mi at each time from full-space evolution, in stacked batches."""
     c_numeric, mi = [], []
-    for start in range(0, len(times), ORACLE_BATCH):
-        pairs = evolver.reduced_states(times[start : start + ORACLE_BATCH])
+    for start in range(0, len(times), PAIR_BATCH):
+        pairs = evolver.reduced_states(times[start : start + PAIR_BATCH])
         spectra = density_spectra(pairs, PAIR_DIMS)
         c_numeric.append(concurrence_2q_stack(pairs))
         mi.append(mutual_information_stack(pairs, spectra, base))
@@ -326,6 +353,12 @@ def _first_failure(
     )
 
 
+def _csv_text(header: str, template: str, columns: Sequence[np.ndarray]) -> str:
+    """The header line, then `template % row` for each row of the columns, read
+    one row at a time: whole-column lists of floats would outlive the rows."""
+    return "\n".join([header, *(template % row for row in zip(*columns))]) + "\n"
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
         params = _params_from(args)
@@ -337,8 +370,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
         evolver = BruteForceEvolver(params) if args.oracle else None
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(EXIT_USAGE, f"error: {exc}")
     base = _LOG_BASES[args.log_base]
     times = grid / params.omega
     c_closed = np.array([concurrence_closed_form(params, t) for t in times.tolist()])
@@ -356,16 +388,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         ],
     )
     if failure is not None:
-        print(f"consistency failure at {failure}", file=sys.stderr)
-        return EXIT_CHECK
+        return _fail(EXIT_CHECK, f"consistency failure at {failure}")
     c_abe = concurrence_a_be(params)
-    c_inaccessible = inaccessible_concurrence(c_abe, c_numeric)
-    # the constant c_abe is formatted once, into the row template; the columns
-    # are read row by row, since whole-column lists would outlive the rows they feed
+    columns = (grid, c_closed, c_numeric, mi, inaccessible_concurrence(c_abe, c_numeric))
+    # the constant c_abe is formatted once, into the row template
     template = f"%.12g,%.12g,%.12g,%.12g,{c_abe:.12g},%.12g"
-    columns = (grid, c_closed, c_numeric, mi, c_inaccessible)
-    text = "\n".join([SWEEP_HEADER, *(template % row for row in zip(*columns))]) + "\n"
-    outputs = [(args.output, text)]
+    outputs = [(args.output, _csv_text(SWEEP_HEADER, template, columns))]
     if args.svg is not None:
         series = [
             ("pair concurrence", "", c_numeric),
@@ -373,12 +401,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             ("whole-cut concurrence", "2 3", np.full(len(grid), c_abe)),
         ]
         outputs.append((args.svg, _svg_text(grid, series)))
-    try:
-        _emit(outputs)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    return EXIT_OK
+    return _emit(outputs)
 
 
 def _cmd_kraus_check(args: argparse.Namespace) -> int:
@@ -391,8 +414,7 @@ def _cmd_kraus_check(args: argparse.Namespace) -> int:
         # the Kraus propagator has one bath level beyond the flags
         _check_angles(params, 4.0 * math.pi if args.t is None else args.t, ENV_LEVELS - 1)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(EXIT_USAGE, f"error: {exc}")
     family = zero_discord_family(params)
     if args.t is not None:
         omega_times = [args.t]
@@ -402,14 +424,14 @@ def _cmd_kraus_check(args: argparse.Namespace) -> int:
     residuals, choi_min, deviations = kraus_audit(
         family, params, [omega_t / params.omega for omega_t in omega_times]
     )
-    worst_residual = max(0.0, float(residuals.max()))
-    worst_choi = min(0.0, float(choi_min.min()))
-    worst_dev = max(0.0, float(deviations.max()))
+    residual = max(0.0, float(residuals.max()))
+    choi = min(0.0, float(choi_min.min()))
+    dev = max(0.0, float(deviations.max()))
     print("times (omega*t): " + " ".join(f"{v:.12g}" for v in omega_times))
-    print(f"completeness residual (max): {worst_residual:.3e}  [tol 1e-09]")
-    print(f"choi min eigenvalue (min): {worst_choi:.3e}  [floor -1e-08]")
-    print(f"channel vs traced evolution (max dev): {worst_dev:.3e}  [tol 1e-09]")
-    ok = worst_residual <= 1e-9 and worst_choi >= -1e-8 and worst_dev <= 1e-9
+    print(f"completeness residual (max): {residual:.3e}  [tol {COMPLETENESS_TOL:g}]")
+    print(f"choi min eigenvalue (min): {choi:.3e}  [floor {KRAUS_CHOI_FLOOR:g}]")
+    print(f"channel vs traced evolution (max dev): {dev:.3e}  [tol {KRAUS_DEV_TOL:g}]")
+    ok = residual <= COMPLETENESS_TOL and choi >= KRAUS_CHOI_FLOOR and dev <= KRAUS_DEV_TOL
     print("PASS" if ok else "FAIL")
     return EXIT_OK if ok else EXIT_CHECK
 
@@ -442,8 +464,7 @@ def _cmd_markov_check(args: argparse.Namespace) -> int:
         params = SpinStarParams(p=args.p, alpha=args.alpha, beta=args.beta)
         rho, expect_markov = _markov_scenario(args.scenario, params)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(EXIT_USAGE, f"error: {exc}")
     decision = is_markov(rho)
     witness = markov_necessary_witnesses(rho)
     print(f"scenario: {args.scenario}")
@@ -461,54 +482,30 @@ def _cmd_hidden(args: argparse.Namespace) -> int:
     try:
         grid = _grid_from(args)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(EXIT_USAGE, f"error: {exc}")
     bell = np.zeros(4, dtype=complex)
     bell[1] = bell[2] = 1.0 / math.sqrt(2.0)
-    rho0 = DensityMatrix(np.outer(bell, bell.conj()), DimsSpec(("A", 2), ("B", 2)))
+    rho0 = DensityMatrix(np.outer(bell, bell.conj()), PAIR_DIMS)
+    fields = operator.attrgetter("mixture_concurrence", "ensemble_concurrence", "hidden")
     try:
-        samples = ruc_trajectory(rho0, grid)
+        # one pass over the samples, which are dropped once their columns are built
+        columns = np.array([fields(s) for s in ruc_trajectory(rho0, grid)]).T
     except ArithmeticError as exc:
-        print(f"consistency failure: {exc}", file=sys.stderr)
-        return EXIT_CHECK
-    c0 = samples[0].mixture_concurrence
-    worst = max(s.mixture_concurrence for s in samples)
+        return _fail(EXIT_CHECK, f"consistency failure: {exc}")
+    c0, worst = columns[0, 0], columns[0].max()
     if worst > c0 + 1e-9:
-        print(
-            f"consistency failure: mixture concurrence {worst:.12g} exceeds initial {c0:.12g}",
-            file=sys.stderr,
-        )
-        return EXIT_CHECK
+        message = f"mixture concurrence {worst:.12g} exceeds initial {c0:.12g}"
+        return _fail(EXIT_CHECK, f"consistency failure: {message}")
     # for the Bell input the mixture keeps |cos omega t|, each branch keeps 1,
     # and the difference is hidden
     cos_t = np.abs(np.cos(grid))
-    failure = _first_failure(
-        grid,
-        [
-            (column, np.array([getattr(s, field) for s in samples]), closed, HIDDEN_CLOSED_FORM_TOL)
-            for column, field, closed in (
-                ("c_mixture", "mixture_concurrence", cos_t),
-                ("c_ensemble_avg", "ensemble_concurrence", np.ones_like(cos_t)),
-                ("c_hidden", "hidden", 1.0 - cos_t),
-            )
-        ],
-    )
+    closed_forms = (cos_t, np.ones_like(cos_t), 1.0 - cos_t)
+    checks = zip(HIDDEN_HEADER.split(",")[1:], columns, closed_forms)
+    failure = _first_failure(grid, [(*check, HIDDEN_CLOSED_FORM_TOL) for check in checks])
     if failure is not None:
-        print(f"consistency failure at {failure}", file=sys.stderr)
-        return EXIT_CHECK
-    rows = [HIDDEN_HEADER]
-    for omega_t, s in zip(grid, samples):
-        rows.append(
-            "%.12g,%.12g,%.12g,%.12g"
-            % (omega_t, s.mixture_concurrence, s.ensemble_concurrence, s.hidden)
-        )
-    del samples  # the rows carry the same values; free them before the text is built
-    try:
-        _emit([(args.output, "\n".join(rows) + "\n")])
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    return EXIT_OK
+        return _fail(EXIT_CHECK, f"consistency failure at {failure}")
+    text = _csv_text(HIDDEN_HEADER, "%.12g,%.12g,%.12g,%.12g", (grid, *columns))
+    return _emit([(args.output, text)])
 
 
 _DISPATCH = {
@@ -521,7 +518,8 @@ _DISPATCH = {
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The process's one parser: parsing keeps no state in it between calls."""
+    """The process's one parser: parsing keeps no state in it between calls, and
+    usage text wraps to each call's COLUMNS."""
     return build_parser()
 
 

@@ -4,7 +4,7 @@ Pure-state concurrence works across any bipartition.  Mixed two-qubit states
 use the spin-flip construction, evaluated at the amplitude level so that the
 coefficients of rank-deficient states stay accurate to rounding rather than
 its square root.  The partial transpose witness certifies entanglement
-through a negative eigenvalue.
+through a negative eigenvalue.  Nothing here imports `spinstar.model`.
 """
 
 from __future__ import annotations

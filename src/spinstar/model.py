@@ -37,6 +37,7 @@ import numpy as np
 
 from .linalg import check_orthonormal, dagger, herm_eig, identity, ordered_sum, projectors
 from .states import (
+    PAIR_DIMS,
     DensityMatrix,
     DimsSpec,
     PureState,
@@ -77,9 +78,6 @@ MAX_BATH_SPINS = 62
 
 #: default dims for states on (isolated qubit, coupled qubit, effective bath)
 PAIR_ENV_DIMS = DimsSpec(("A", 2), ("B", 2), ("E", ENV_LEVELS))
-
-#: dims of the reduced (A, B) pair
-PAIR_DIMS = DimsSpec(("A", 2), ("B", 2))
 
 #: largest tolerated population outside the truncated bath ladder
 TRUNCATION_TOL = 1e-12

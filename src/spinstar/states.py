@@ -40,6 +40,12 @@ NORM_TOL = 1e-12
 #: uses a handful, so this only bounds a caller that makes many factorizations
 _PLAN_CACHE_SIZE = 64
 
+#: grid points per stacked batch of pair states, in `channels.ruc_trajectory`
+#: and `sweep --oracle`: a batch's pair stacks and their checks stay near 1 MB
+#: whatever the grid length.  256 to 2048 points per batch ran equally fast,
+#: and larger batches only raised the peak resident set
+PAIR_BATCH = 256
+
 Cut = tuple[Iterable[str], Iterable[str]]
 
 
@@ -94,8 +100,8 @@ class DimsSpec:
         return f"DimsSpec({inner})"
 
 
-#: the factors of a two-qubit state
-_QUBIT_PAIR = DimsSpec(("A", 2), ("B", 2))
+#: the factors of a two-qubit (A, B) pair
+PAIR_DIMS = DimsSpec(("A", 2), ("B", 2))
 
 
 def check_two_qubit(rho: DensityMatrix, what: str) -> None:
@@ -366,8 +372,8 @@ def mutual_information_stack(mats: np.ndarray, spectra: np.ndarray, base: float 
     matrix the S(A), S(B) and S(AB) floors are checked before the sign.
     """
     base = _check_base(base)
-    keep_a, qubit = partial_trace_stack(mats, _QUBIT_PAIR, ("A",))
-    keep_b, _ = partial_trace_stack(mats, _QUBIT_PAIR, ("B",))
+    keep_a, qubit = partial_trace_stack(mats, PAIR_DIMS, ("A",))
+    keep_b, _ = partial_trace_stack(mats, PAIR_DIMS, ("B",))
     marginal_spectra = density_spectra(np.stack([keep_a, keep_b], axis=1), qubit)
     marginal_entropies = _spectrum_entropy(marginal_spectra, base)
     values = marginal_entropies[:, 0] + marginal_entropies[:, 1] - _spectrum_entropy(spectra, base)

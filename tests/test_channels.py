@@ -31,14 +31,13 @@ from spinstar import (
 from spinstar import model
 from spinstar.channels import (
     PHASE_DIAL_WEIGHTS,
-    RUC_CHUNK,
     _phase_dial,
     kraus_audit,
     kraus_operators,
 )
 from spinstar.linalg import dagger, haar_unitary, identity, max_abs
 from spinstar.model import LARGE_N, sector_unitaries, sector_unitary
-from spinstar.states import conjugate_local
+from spinstar.states import PAIR_BATCH, conjugate_local
 
 #: special values of each branch angle in the random draws
 SPECIAL_ANGLES = (0.0, math.pi / 4, math.pi / 2, math.pi)
@@ -457,7 +456,7 @@ class TestRucTrajectory:
         else:
             rho = random_density(np.random.default_rng(11), TWO_QUBITS, rank=2)
         grid = np.concatenate(
-            [np.linspace(0.0, 4.0 * math.pi, RUC_CHUNK + 5), [math.pi + 1e-7, 1e5 + 0.3]]
+            [np.linspace(0.0, 4.0 * math.pi, PAIR_BATCH + 5), [math.pi + 1e-7, 1e5 + 0.3]]
         )
         samples = ruc_trajectory(rho, grid)
         assert len(samples) == len(grid)

@@ -37,9 +37,9 @@ from spinstar.model import (
 #: ceiling on the peak resident set of `hidden --steps MAX_STEPS`, in MB: the
 #: per-point route peaked at 75.0 MB and the batched one at 72.5 MB, both with
 #: one BLAS thread on a 2-core x86-64 Linux VM (Python 3.11, numpy 2.4.6,
-#: OpenBLAS); read as VmHWM, the batched one peaks at 69-72 MB.  About 30 MB
-#: of it is the interpreter and numpy, so the margin holds for this
-#: configuration only
+#: OpenBLAS); read as VmHWM, the batched one peaks at 69-72 MB, and 67 MB once
+#: `hidden` drops its samples after one pass.  About 30 MB of it is the
+#: interpreter and numpy, so the margin holds for this configuration only
 HIDDEN_PEAK_RSS_MB = 75
 
 #: ceiling on the peak resident set of ORACLE_RSS_ARGV, in MB, measured as for
@@ -242,9 +242,9 @@ class TestSweep:
     def test_first_inconsistent_row_exits_3(self, capsys, monkeypatch, name, flags):
         """Rows past the oracle's first batch are shifted off the closed form,
         the later one further; the first one is reported, and nothing is written."""
-        first = cli.ORACLE_BATCH + 3
+        first = states.PAIR_BATCH + 3
         shifted = corrupt_rows(monkeypatch, name, [first, first + 2])
-        steps, t_max = cli.ORACLE_BATCH + 10, 7.0
+        steps, t_max = states.PAIR_BATCH + 10, 7.0
         code, out, err = run(
             capsys, "sweep", "--env-spins", "2", "--steps", str(steps), "--t-max", str(t_max),
             *flags,
@@ -688,14 +688,41 @@ def test_unwritable_output_exits_2_with_a_message(capsys, tmp_path, argv):
     assert err.startswith("error:") and str(target) in err
 
 
-def test_unwritable_svg_leaves_the_csv_file_unwritten(capsys, tmp_path):
-    """Both targets are opened before either is written."""
-    target = tmp_path / "out.csv"
-    svg = tmp_path / "missing" / "plot.svg"
+def run_with_unwritable_svg(capsys, target):
+    svg = target.parent / "missing" / "plot.svg"
     code, out, err = run(capsys, "sweep", "--steps", "2", "--output", str(target), "--svg", str(svg))
     assert (code, out) == (EXIT_USAGE, "")
     assert str(svg) in err
-    assert target.read_text() == ""
+
+
+def test_unwritable_svg_leaves_the_csv_file_unwritten(capsys, tmp_path):
+    """Both targets are opened before either is truncated, so an existing
+    CSV keeps its bytes."""
+    target = tmp_path / "out.csv"
+    target.write_bytes(b"old,csv\n")
+    run_with_unwritable_svg(capsys, target)
+    assert target.read_bytes() == b"old,csv\n"
+
+
+def test_unwritable_svg_creates_no_csv_file(capsys, tmp_path):
+    """A CSV file created for the run is removed when the SVG cannot be opened."""
+    target = tmp_path / "out.csv"
+    run_with_unwritable_svg(capsys, target)
+    assert not target.exists()
+
+
+def test_output_file_is_rewritten_whole(capsys, tmp_path):
+    """A longer existing file is truncated before the CSV is written."""
+    target = tmp_path / "out.csv"
+    target.write_text("x" * 10_000)
+    code, out, _ = run(capsys, "sweep", "--steps", "3", "--output", str(target))
+    assert (code, out) == (EXIT_OK, "")
+    assert target.read_text() == run(capsys, "sweep", "--steps", "3")[1]
+
+
+def test_output_to_the_null_device(capsys):
+    code, out, err = run(capsys, "sweep", "--steps", "3", "--output", os.devnull)
+    assert (code, out, err) == (EXIT_OK, "", "")
 
 
 @pytest.mark.parametrize("argv", [("kraus-check", "--t", "1e308"), ("sweep", "--t-max", "1.5e308")])

@@ -6,12 +6,15 @@ anywhere in the module, or as a string in ``__all__`` (a re-export).
 Imports under ``if TYPE_CHECKING:`` serve annotations only and are exempt.
 
 Every name the benchmark tracer patches also still resolves in its module,
-and the package version is written once, as ``spinstar.__version__``.
+the package version is written once, as ``spinstar.__version__``, and the
+``test`` extra installs what the test modules import.
 """
 
 import ast
 import importlib
 import pathlib
+import re
+import sys
 import tomllib
 
 import pytest
@@ -144,3 +147,29 @@ def test_version_is_written_once():
     assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "spinstar.__version__"}
     version = importlib.import_module("spinstar").__version__
     assert isinstance(version, str) and version
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the absolute imports anywhere in the source, nested ones too."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_test_extra_installs_what_the_tests_import():
+    """`pip install -e ".[test]"` is enough to collect every test module: each
+    third-party module they import is numpy, the runtime dependency, or is
+    named in the `test` extra."""
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        extra = tomllib.load(fh)["project"]["optional-dependencies"]["test"]
+    named = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_") for req in extra}
+    modules = sorted((ROOT / "tests").glob("*.py"))
+    imported = set().union(*(imported_modules(p.read_text(encoding="utf-8")) for p in modules))
+    local = {"spinstar"} | {p.stem for p in modules}
+    third_party = imported - local - set(sys.stdlib_module_names)
+    assert {"numpy", "pytest"} <= third_party
+    assert sorted(third_party - {"numpy"} - named) == []
