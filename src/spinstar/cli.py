@@ -226,10 +226,10 @@ def _open_for_emit(path: str, created: list[str]):
 def _emit(outputs: Sequence[tuple[str | None, str]]) -> int:
     """Write each (path, text), a None path to stdout, and return the exit code.
 
-    Every file is opened before any is truncated, so a path that cannot be
-    opened exits 2 and leaves the others as they were: an existing file keeps
-    its bytes, and a file this call created is removed.  Files are written in
-    place, not renamed over, so a device such as /dev/null works.
+    Every file is opened before an existing one is truncated, so a path that
+    cannot be opened exits 2 and leaves the others as they were: an existing
+    file keeps its bytes, and a file this call created is removed.  Files are
+    written in place, not renamed over, so a device such as /dev/null works.
     """
     created: list[str] = []
     try:
@@ -238,8 +238,8 @@ def _emit(outputs: Sequence[tuple[str | None, str]]) -> int:
                 sys.stdout if path is None else stack.enter_context(_open_for_emit(path, created))
                 for path, _ in outputs
             ]
-            for fh, (_, text) in zip(targets, outputs):
-                if fh is not sys.stdout and os.path.isfile(fh.name):
+            for fh, (path, text) in zip(targets, outputs):
+                if path is not None and path not in created and os.path.isfile(path):
                     fh.truncate(0)
                 fh.write(text)
     except OSError as exc:
