@@ -499,7 +499,7 @@ class BruteForceEvolver:
         # ascending bit strings with qubit B as bit n above the bath spins
         powers = 1 << np.arange(n + 1, dtype=np.int64)
         pairs = np.add.outer(powers, powers)[np.triu_indices(n + 1, 1)]
-        self.basis = np.unique(np.concatenate(([0], powers, pairs)))
+        self.basis = np.sort(np.concatenate(([0], powers, pairs)))
         b_bit, spin_bits = powers[n], powers[:n]
         b = self.basis >> n  # qubit B's bit
         bath = self.basis & (b_bit - 1)
@@ -525,7 +525,10 @@ class BruteForceEvolver:
         self._coeffs = amps @ self._vecs
         # each amplitude's pair-state row (A, B) and bath-string column
         self._rows = 2 * np.arange(2)[:, None] + b
-        bath_strings, self._bath_index = np.unique(bath, return_inverse=True)
+        # the strings with B down hold each bath string once, in ascending order
+        # (np.unique would do, but its first call imports numpy.ma)
+        bath_strings = bath[b == 0]
+        self._bath_index = np.searchsorted(bath_strings, bath)
         self._bath_count = bath_strings.size
 
     def reduced_states(self, times: Sequence[float] | np.ndarray) -> np.ndarray:

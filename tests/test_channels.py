@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import TWO_QUBITS, bell_pair, density_from_vec, random_density
 from spinstar import (
@@ -28,15 +30,16 @@ from spinstar import (
     ruc_trajectory,
     zero_discord_family,
 )
-from spinstar import model
+from spinstar import cli, model
 from spinstar.channels import (
+    COMPLETENESS_TOL,
     PHASE_DIAL_WEIGHTS,
     _phase_dial,
     kraus_audit,
     kraus_operators,
 )
 from spinstar.linalg import dagger, haar_unitary, identity, max_abs
-from spinstar.model import LARGE_N, sector_unitaries, sector_unitary
+from spinstar.model import ENV_LEVELS, LARGE_N, sector_unitaries, sector_unitary
 from spinstar.states import PAIR_BATCH, conjugate_local
 
 #: special values of each branch angle in the random draws
@@ -320,6 +323,37 @@ class TestStackedKraus:
         family, params = default_family()
         with pytest.raises(ValueError, match="10x10 propagators"):
             kraus_operators(family, sector_unitaries(params, [0.3], 4))
+
+
+@st.composite
+def kraus_check_draws(draw):
+    """Model parameters over p in [0, 1], branch angles in [0, 2 pi], baths of
+    2 to 5000 spins or LARGE_N and couplings in [0.25, 4], with ten check
+    times omega*t in [0, 1e3] that kraus-check admits."""
+    p = draw(st.one_of(st.sampled_from((0.0, 1e-9, 1.0)), st.floats(0.0, 1.0)))
+    angle = st.one_of(st.sampled_from(SPECIAL_ANGLES), st.floats(0.0, 2.0 * math.pi))
+    params = SpinStarParams(
+        env_spins=draw(st.one_of(st.integers(2, 5000), st.just(LARGE_N))),
+        coupling=draw(st.floats(0.25, 4.0)),
+        p=p,
+        alpha=draw(angle),
+        beta=draw(angle),
+    )
+    omega_times = draw(st.lists(st.floats(0.0, 1e3), min_size=10, max_size=10))
+    # raises where kraus-check would exit 2
+    cli._check_angles(params, max(omega_times), ENV_LEVELS - 1)
+    return params, [omega_t / params.omega for omega_t in omega_times]
+
+
+@settings(deadline=None, max_examples=300)
+@given(kraus_check_draws())
+def test_kraus_completeness_and_positivity_hold_on_random_draws(drawn):
+    """Each of kraus-check's three bounds holds at every drawn time."""
+    params, times = drawn
+    residuals, choi_min, deviations = kraus_audit(zero_discord_family(params), params, times)
+    assert residuals.max() <= COMPLETENESS_TOL
+    assert choi_min.min() >= cli.KRAUS_CHOI_FLOOR
+    assert deviations.max() <= cli.KRAUS_DEV_TOL
 
 
 class TestKrausChannel:

@@ -5,6 +5,7 @@ import itertools
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -58,21 +59,10 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def peak_rss_mb(argv, target):
-    """Run `argv` with --output target in a fresh interpreter; its peak RSS in MB.
-
-    The interpreter reads its own VmHWM on Linux.  Its ru_maxrss would not
-    do: exec carries over the peak of the process that spawned it, so the
-    reading would include this test run.
-    """
-    script = (
-        "import sys\n"
-        "from spinstar.cli import main\n"
-        "code = main(sys.argv[1:])\n"
-        "with open('/proc/self/status') as fh:\n"
-        "    print(next(line.split()[1] for line in fh if line.startswith('VmHWM:')))\n"
-        "sys.exit(code)\n"
-    )
+def in_fresh_interpreter(argv, report):
+    """Run main(argv) in a fresh interpreter with one BLAS thread; the last
+    line of its stdout, which the statement `report` prints after the run."""
+    script = "import sys\nfrom spinstar.cli import main\ncode = main(sys.argv[1:])\n" + report
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     env = {
         **os.environ,
@@ -82,11 +72,25 @@ def peak_rss_mb(argv, target):
         **{k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
     }
     proc = subprocess.run(
-        [sys.executable, "-c", script, *argv, "--output", str(target)],
+        [sys.executable, "-c", script + "sys.exit(code)\n", *argv],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == EXIT_OK, proc.stderr
-    return int(proc.stdout) / 1024
+    return proc.stdout.splitlines()[-1]
+
+
+def peak_rss_mb(argv, target):
+    """Run `argv` with --output target in a fresh interpreter; its peak RSS in MB.
+
+    The interpreter reads its own VmHWM on Linux.  Its ru_maxrss would not
+    do: exec carries over the peak of the process that spawned it, so the
+    reading would include this test run.
+    """
+    report = (
+        "with open('/proc/self/status') as fh:\n"
+        "    print(next(line.split()[1] for line in fh if line.startswith('VmHWM:')))\n"
+    )
+    return int(in_fresh_interpreter((*argv, "--output", str(target)), report)) / 1024
 
 
 def corrupt_rows(monkeypatch, name, rows):
@@ -358,6 +362,31 @@ class TestSweep:
         assert "error" in err
 
 
+#: numpy subpackages that no subcommand computes with; importing them raised
+#: a run's peak RSS by 5.3-6.1 MB (numpy.random) and 1.3 MB (numpy.ma)
+UNUSED_NUMPY = ("numpy.random", "numpy.ma")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep",),
+        ("sweep", "--oracle", "--env-spins", "6"),
+        ("hidden",),
+        ("kraus-check",),
+        ("kraus-check", "--t", "1.3"),
+        *(
+            ("markov-check", "--scenario", s)
+            for s in ("eq-mixture", "w-state", "factorized", "custom-markov")
+        ),
+    ],
+    ids=" ".join,
+)
+def test_subcommand_loads_only_the_numpy_it_computes_with(argv):
+    report = f"print(*[m for m in {UNUSED_NUMPY!r} if m in sys.modules])\n"
+    assert in_fresh_interpreter(argv, report) == ""
+
+
 class TestKrausCheck:
     def test_default_sweep_passes(self, capsys):
         code, out, _ = run(capsys, "kraus-check")
@@ -366,6 +395,28 @@ class TestKrausCheck:
         assert "choi min eigenvalue (min)" in out
         assert "channel vs traced evolution (max dev)" in out
         assert out.strip().endswith("PASS")
+
+    @pytest.mark.parametrize("seed", [None, 0, 7, 2**64])
+    def test_seed_draws_ten_sorted_times(self, capsys, seed):
+        """The check times are ten sorted uniform draws in [0, 4 pi] from
+        random.Random(seed), and the seed defaults to 0."""
+        code, out, _ = run(capsys, "kraus-check", *(() if seed is None else ("--seed", str(seed))))
+        assert code == EXIT_OK
+        label, line = out.splitlines()[0].split(": ")
+        times = [float(v) for v in line.split()]
+        assert label == "times (omega*t)"
+        assert len(times) == 10 and times == sorted(times)
+        assert all(0.0 <= v <= 4.0 * math.pi for v in times)
+        rng = random.Random(0 if seed is None else seed)
+        expected = sorted(rng.uniform(0.0, 4.0 * math.pi) for _ in range(10))
+        assert line == " ".join(f"{v:.12g}" for v in expected)
+
+    def test_seed_fixes_the_report(self, capsys):
+        default = run(capsys, "kraus-check")
+        assert run(capsys, "kraus-check", "--seed", "0") == default
+        seven = run(capsys, "kraus-check", "--seed", "7")
+        assert run(capsys, "kraus-check", "--seed", "7") == seven
+        assert seven[1] != default[1]
 
     def test_time_zero(self, capsys):
         code, out, _ = run(capsys, "kraus-check", "--t", "0")
