@@ -277,23 +277,22 @@ class RucSample:
     hidden: float
 
 
-def ruc_trajectory(rho0: DensityMatrix, t_grid: Sequence[float]) -> tuple[RucSample, ...]:
-    """Branch-resolved evolution of a two-qubit state under the phase dial.
+def ruc_columns(rho0: DensityMatrix, t_grid: Sequence[float]) -> tuple[np.ndarray, ...]:
+    """Phase-dial evolution of a two-qubit state as t, mixture, ensemble and hidden columns.
 
-    Each grid value is the dial angle of `_phase_dial`.  The grid
-    runs in stacked batches of PAIR_BATCH points, each checked as a whole:
-    unitarity of the branches, validity of every member and mixture state,
-    convexity, and drift.  Because each branch evolves by a local unitary,
-    the ensemble-averaged concurrence must match the initial concurrence
-    within DRIFT_TOL; drift beyond that indicates numerical corruption and
-    raises.  The first failing grid point is the one reported.  Each sample
-    has the bits of the one-angle route, whatever the batch.
+    Each grid value is a dial angle of `_phase_dial`.  The grid runs in
+    stacked batches of PAIR_BATCH points, each checked as a whole: unitarity
+    of the branches, validity of every member and mixture state, convexity,
+    and drift.  Each branch evolves by a local unitary, so an ensemble-averaged
+    concurrence more than DRIFT_TOL off the initial one is numerical corruption
+    and raises; the first failing grid point is reported.  Each value has the
+    bits of the one-angle route, whatever the batch.
     """
     check_two_qubit(rho0, "initial state")
     c0 = concurrence_2q(rho0)
     weights = check_probabilities(PHASE_DIAL_WEIGHTS, "unitary branch")
     times = np.asarray(t_grid, dtype=float)
-    samples: list[RucSample] = []
+    columns = np.empty((3, len(times)))
     for start in range(0, len(times), PAIR_BATCH):
         t = times[start : start + PAIR_BATCH]
         unitaries = _phase_dial(t)
@@ -311,8 +310,13 @@ def ruc_trajectory(rho0: DensityMatrix, t_grid: Sequence[float]) -> tuple[RucSam
                 f"ensemble concurrence drifted to {c_ens[i]:.12g} from {c0:.12g}"
                 f" at t={float(t[i])!r}"
             )
-        samples.extend(map(RucSample, t.tolist(), c_mix.tolist(), c_ens.tolist(), hidden.tolist()))
-    return tuple(samples)
+        columns[:, start : start + PAIR_BATCH] = c_mix, c_ens, hidden
+    return (times, *columns)
+
+
+def ruc_trajectory(rho0: DensityMatrix, t_grid: Sequence[float]) -> tuple[RucSample, ...]:
+    """`ruc_columns` as one RucSample per grid point."""
+    return tuple(map(RucSample, *(column.tolist() for column in ruc_columns(rho0, t_grid))))
 
 
 def _phase_dial(angles: np.ndarray) -> np.ndarray:

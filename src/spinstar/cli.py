@@ -10,7 +10,6 @@ import argparse
 import contextlib
 import functools
 import math
-import operator
 import os
 import random
 import sys
@@ -18,7 +17,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .channels import COMPLETENESS_TOL, kraus_audit, ruc_trajectory
+from .channels import COMPLETENESS_TOL, kraus_audit, ruc_columns
 from .entanglement import RANK_TOL, concurrence_2q, concurrence_2q_stack, inaccessible_concurrence
 from .markov import (
     CMI_TOL,
@@ -77,9 +76,8 @@ SWEEP_MI_TOL = 1e-12
 #: rung-1 frequency, at most the rung-2 one whose angle `_check_angles` bounds
 ORACLE_MAX_ANGLE = SWEEP_CONSISTENCY_TOL / (16 * sys.float_info.epsilon)
 
-#: largest accepted --steps; `hidden` keeps about 0.15 kB of samples, then 0.1 kB
-#: of CSV text, per grid point, and its peak resident set at this ceiling is
-#: checked by `test_largest_grid_stays_under_its_memory_ceiling`
+#: largest accepted --steps; `hidden` keeps 32 B of grid and columns, then 0.1 kB of CSV
+#: text, per point; `test_largest_grid_stays_under_its_memory_ceiling` checks its peak RSS
 MAX_STEPS = 100_000
 
 #: largest gap of a `hidden` value from the phase dial's closed forms.  The
@@ -369,6 +367,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         angle = _check_angles(
             params, args.t_max, ENV_LEVELS - 2, ORACLE_MAX_ANGLE if args.oracle else math.inf
         )
+        if args.output and args.svg and os.path.realpath(args.output) == os.path.realpath(args.svg):
+            raise ValueError(f"--output and --svg name one file: {args.svg!r}")
         evolver = BruteForceEvolver(params) if args.oracle else None
     except ValueError as exc:
         return _fail(EXIT_USAGE, f"error: {exc}")
@@ -489,13 +489,11 @@ def _cmd_hidden(args: argparse.Namespace) -> int:
     bell = np.zeros(4, dtype=complex)
     bell[1] = bell[2] = 1.0 / math.sqrt(2.0)
     rho0 = DensityMatrix(np.outer(bell, bell.conj()), PAIR_DIMS)
-    fields = operator.attrgetter("mixture_concurrence", "ensemble_concurrence", "hidden")
     try:
-        # one pass over the samples, which are dropped once their columns are built
-        columns = np.array([fields(s) for s in ruc_trajectory(rho0, grid)]).T
+        _, *columns = ruc_columns(rho0, grid)
     except ArithmeticError as exc:
         return _fail(EXIT_CHECK, f"consistency failure: {exc}")
-    c0, worst = columns[0, 0], columns[0].max()
+    c0, worst = columns[0][0], columns[0].max()
     if worst > c0 + 1e-9:
         message = f"mixture concurrence {worst:.12g} exceeds initial {c0:.12g}"
         return _fail(EXIT_CHECK, f"consistency failure: {message}")

@@ -1,5 +1,6 @@
 """Tests for operator-sum extraction, discord checks, and unitary-dial models."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -34,9 +35,11 @@ from spinstar import cli, model
 from spinstar.channels import (
     COMPLETENESS_TOL,
     PHASE_DIAL_WEIGHTS,
+    RucSample,
     _phase_dial,
     kraus_audit,
     kraus_operators,
+    ruc_columns,
 )
 from spinstar.linalg import dagger, haar_unitary, identity, max_abs
 from spinstar.model import ENV_LEVELS, LARGE_N, sector_unitaries, sector_unitary
@@ -503,6 +506,22 @@ class TestRucTrajectory:
             assert (
                 sample.ensemble_concurrence, sample.mixture_concurrence, sample.hidden
             ) == hidden_entanglement(members)
+
+    @pytest.mark.parametrize("state", ["bell", "mixed"])
+    def test_samples_are_the_columns_field_by_field(self, state):
+        """`ruc_trajectory` is the record view of `ruc_columns`: on a grid that
+        crosses PAIR_BATCH boundaries, each field has the bits of its column."""
+        if state == "bell":
+            rho = density_from_vec(bell_pair(), TWO_QUBITS)
+        else:
+            rho = random_density(np.random.default_rng(5), TWO_QUBITS)
+        grid = np.linspace(0.0, 4.0 * math.pi, 600)
+        samples, columns = ruc_trajectory(rho, grid), ruc_columns(rho, grid)
+        fields = dataclasses.fields(RucSample)
+        assert len(samples) == len(grid) and len(columns) == len(fields)
+        for field, column in zip(fields, columns):
+            values = np.array([getattr(sample, field.name) for sample in samples])
+            assert values.tobytes() == column.tobytes()
 
     def test_rejects_wrong_input_dims(self):
         rho = build_initial_state(SpinStarParams())

@@ -1,6 +1,5 @@
 """End-to-end tests of the command-line interface through main(argv)."""
 
-import dataclasses
 import itertools
 import math
 import os
@@ -15,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinstar import channels, cli, entanglement, states
-from spinstar.channels import RucSample
 from spinstar.cli import (
     EXIT_CHECK,
     EXIT_OK,
@@ -38,10 +36,11 @@ from spinstar.model import (
 #: ceiling on the peak resident set of `hidden --steps MAX_STEPS`, in MB: the
 #: per-point route peaked at 75.0 MB and the batched one at 72.5 MB, both with
 #: one BLAS thread on a 2-core x86-64 Linux VM (Python 3.11, numpy 2.4.6,
-#: OpenBLAS); read as VmHWM, the batched one peaks at 69-72 MB, and 67 MB once
-#: `hidden` drops its samples after one pass.  About 30 MB of it is the
-#: interpreter and numpy, so the margin holds for this configuration only
-HIDDEN_PEAK_RSS_MB = 75
+#: OpenBLAS).  Read as VmHWM, the batched one peaked at 64-69 MB with one
+#: record per sample, and at 52.6-52.8 MB once the CSV is written straight
+#: from the dial's columns.  About 30 MB of it is the interpreter and numpy,
+#: so the margin holds for this configuration only
+HIDDEN_PEAK_RSS_MB = 60
 
 #: ceiling on the peak resident set of ORACLE_RSS_ARGV, in MB, measured as for
 #: HIDDEN_PEAK_RSS_MB: 39.4 MB point by point, 39.0 MB in batches, 49.2 MB with
@@ -550,8 +549,8 @@ class TestHidden:
         assert "convexity violated" in err
 
     def test_mixture_above_its_start_exits_3(self, capsys, monkeypatch):
-        samples = (RucSample(0.0, 0.5, 1.0, 0.5), RucSample(1.0, 0.9, 1.0, 0.1))
-        monkeypatch.setattr(cli, "ruc_trajectory", lambda rho0, grid: samples)
+        columns = tuple(np.array(c) for c in ([0.0, 1.0], [0.5, 0.9], [1.0, 1.0], [0.5, 0.1]))
+        monkeypatch.setattr(cli, "ruc_columns", lambda rho0, grid: columns)
         assert self.run_failing(capsys) == (
             "consistency failure: mixture concurrence 0.9 exceeds initial 0.5\n"
         )
@@ -559,14 +558,14 @@ class TestHidden:
     def test_value_off_its_closed_form_exits_3(self, capsys, monkeypatch):
         # scale one hidden value by 1 + 1e-10, too little for the other checks
         # but a hundred times the closed-form bound
-        original = cli.ruc_trajectory
+        original = cli.ruc_columns
 
         def corrupted(rho0, grid):
-            samples = list(original(rho0, grid))
-            samples[1] = dataclasses.replace(samples[1], hidden=samples[1].hidden * (1.0 + 1e-10))
-            return tuple(samples)
+            t, mixture, ensemble, hidden = original(rho0, grid)
+            hidden[1] *= 1.0 + 1e-10
+            return t, mixture, ensemble, hidden
 
-        monkeypatch.setattr(cli, "ruc_trajectory", corrupted)
+        monkeypatch.setattr(cli, "ruc_columns", corrupted)
         err = self.run_failing(capsys)
         assert err.startswith("consistency failure at omega*t=1.5708: c_hidden 1.0000000000999991 ")
         assert err.endswith(", gap 1.0e-10 exceeds 1.01e-12\n")
@@ -769,6 +768,24 @@ def test_output_file_is_rewritten_whole(capsys, tmp_path):
     code, out, _ = run(capsys, "sweep", "--steps", "3", "--output", str(target))
     assert (code, out) == (EXIT_OK, "")
     assert target.read_text() == run(capsys, "sweep", "--steps", "3")[1]
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_one_file_for_both_outputs_is_refused(capsys, tmp_path, monkeypatch, existing):
+    """--output and --svg naming one file, here once by a relative path, exit
+    2 before either is opened: a new file is not created, an old one keeps its
+    bytes."""
+    target = tmp_path / "both"
+    if existing:
+        target.write_bytes(b"old bytes\n")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "sweep", "--steps", "3", "--output", "both", "--svg", str(target))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    if existing:
+        assert target.read_bytes() == b"old bytes\n"
+    else:
+        assert not target.exists()
 
 
 def test_output_to_the_null_device(capsys):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_density
 from spinstar import (
@@ -132,6 +134,36 @@ class TestMakeMarkovState:
         assert state.dims.dims == (2, 4, 2)
         assert conditional_mutual_information(state) <= 1e-8
         assert is_markov(state).markov
+
+
+@st.composite
+def markov_specs(draw):
+    """A block-structured spec: 1-3 blocks, dim_a 2-3, dim_e 1-3, block factors
+    of 1-2 levels, Dirichlet weights and block states of any rank."""
+    dim_a, dim_e, count = draw(st.integers(2, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = []
+    for weight in rng.dirichlet(np.ones(count)).tolist():
+        states = []
+        for fixed in (dim_a, dim_e):
+            size = fixed * draw(st.integers(1, 2))
+            rank = draw(st.integers(1, size))
+            states.append(random_density(rng, DimsSpec(("block", size)), rank=rank).mat)
+        blocks.append(MarkovBlock(weight, *states))
+    return MarkovBlockSpec(dim_a, dim_e, blocks)
+
+
+@settings(deadline=None, max_examples=300)
+@given(markov_specs())
+def test_block_states_are_markov_on_random_draws(spec):
+    """The conditional mutual information of every block-structured state
+    vanishes (Hayden, Jozsa, Petz and Winter, CMP 246, 359 (2004)), and the
+    partial-transpose witness certifies none of them as non-Markov."""
+    state = make_markov_state(spec)
+    decision = is_markov(state)
+    assert decision.markov
+    assert decision.cmi <= CMI_TOL
+    assert not markov_necessary_witnesses(state).npt
 
 
 class TestIsMarkov:
