@@ -35,7 +35,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .linalg import check_orthonormal, dagger, herm_eig, identity, ordered_sum, projectors
+from .linalg import check_orthonormal, identity, ordered_sum, projectors
 from .states import (
     PAIR_DIMS,
     DensityMatrix,
@@ -73,7 +73,7 @@ ENV_LEVELS = 4
 
 #: largest bath of the full-space oracle: its (B, bath) bit strings are int64
 #: and need N + 1 <= 63 bits; `sweep --oracle --env-spins 62 --steps 3` peaks
-#: at 220 MB resident, against 433 MB for the old dense oracle at N = 10
+#: at 35 MB resident, against 220 MB with a dense eigensolve of the generator
 MAX_BATH_SPINS = 62
 
 #: default dims for states on (isolated qubit, coupled qubit, effective bath)
@@ -81,14 +81,6 @@ PAIR_ENV_DIMS = DimsSpec(("A", 2), ("B", 2), ("E", ENV_LEVELS))
 
 #: largest tolerated population outside the truncated bath ladder
 TRUNCATION_TOL = 1e-12
-
-#: amplitudes (grid points times basis states) per stacked batch of
-#: `BruteForceEvolver.reduced_states`.  Its working arrays take about 0.36 kB per
-#: amplitude, so a batch stays near 0.4 MB at any bath size; 1024 to 16384 ran
-#: about equally fast, 512 slower, and larger batches only raised the peak
-#: resident set
-ORACLE_CHUNK_AMPLITUDES = 1024
-
 
 @dataclass(frozen=True)
 class SpinStarParams:
@@ -482,11 +474,13 @@ def evolve_sector_stack(state: DensityMatrix, unitaries: np.ndarray) -> np.ndarr
 class BruteForceEvolver:
     """Full-space evolution of the flagged pair mixture, one qubit per bath spin.
 
-    The flip-flop coupling conserves excitation number, and both branches
-    start with at most two excitations on (B, bath).  The exact generator is
-    therefore built on the (B, bath) bit strings with at most two set bits,
-    1 + (N+1) + C(N+1, 2) states, and every other amplitude stays zero.  No
-    use is made of the symmetric ladder, so this checks the ladder reduction.
+    The coupling conserves excitation number, at most two on (B, bath) in
+    either branch, so the amplitudes live on the 1 + (N+1) + C(N+1, 2) bit
+    strings with at most two set bits.  Every coupling flips qubit B: from
+    the N + 1 strings with B up to the others the generator is
+    [[0, K], [K^T, 0]], and with K = U S V^T each pair of singular vectors
+    rotates at its singular value while the rest stands still.  The
+    symmetric ladder is not used, so this checks it.
     """
 
     def __init__(self, params: SpinStarParams):
@@ -496,66 +490,72 @@ class BruteForceEvolver:
         if n > MAX_BATH_SPINS:
             raise ValueError(f"bath size {n} exceeds the oracle cap {MAX_BATH_SPINS}")
         self.params = params
-        # ascending bit strings with qubit B as bit n above the bath spins
+        # ascending bit strings with qubit B as bit n above the bath spins, so
+        # the strings with B down come first
         powers = 1 << np.arange(n + 1, dtype=np.int64)
         pairs = np.add.outer(powers, powers)[np.triu_indices(n + 1, 1)]
         self.basis = np.sort(np.concatenate(([0], powers, pairs)))
         b_bit, spin_bits = powers[n], powers[:n]
-        b = self.basis >> n  # qubit B's bit
-        bath = self.basis & (b_bit - 1)
-        # flip-flop: B and one bath spin in opposite states swap them
-        src, spin = np.nonzero(((self.basis[:, None] & spin_bits) != 0) != b[:, None])
-        dst = np.searchsorted(self.basis, self.basis[src] ^ (b_bit | spin_bits[spin]))
-        self.generator = np.zeros((self.basis.size, self.basis.size))
-        self.generator[dst, src] = params.coupling
-        self.eigenvalues, self._vecs = herm_eig(self.generator)
-
-        # amplitudes indexed by (branch, qubit A, bit string): the pair vector
-        # times the uniform superposition of the one-excitation bath strings
-        # (branch one) or the empty bath string (branch two)
+        down_bath, up_bath = self.basis[: -(n + 1)], self.basis[-(n + 1) :] ^ b_bit
+        # K: B up and a bath spin down swap them
+        up, spin = np.nonzero((up_bath[:, None] & spin_bits) == 0)
+        k = self.flip_block = np.zeros((up_bath.size, down_bath.size))
+        k[up, np.searchsorted(down_bath, up_bath[up] | spin_bits[spin])] = params.coupling
+        u, self.frequencies, vt = np.linalg.svd(k, full_matrices=False)
+        # real amplitudes by (branch, qubit A, bit string), times the root of the
+        # branch weight: the pair vector times the uniform superposition of the
+        # one-excitation bath strings (branch one) or the empty one (branch two)
+        b, bath = self.basis >> n, self.basis & (b_bit - 1)  # qubit B's bit, the bath string
         one_excitation = (bath != 0) & ((bath & (bath - 1)) == 0)
-        psi1, psi2 = branch_vectors(params.alpha, params.beta)
-        amps = np.array(
-            [
-                psi1.reshape(2, 2)[:, b] * one_excitation / math.sqrt(n),
-                psi2.reshape(2, 2)[:, b] * (bath == 0),
-            ]
-        )
-        self._weights = (params.p, 1.0 - params.p)
-        self._coeffs = amps @ self._vecs
-        # each amplitude's pair-state row (A, B) and bath-string column
-        self._rows = 2 * np.arange(2)[:, None] + b
-        # the strings with B down hold each bath string once, in ascending order
-        # (np.unique would do, but its first call imports numpy.ma)
-        bath_strings = bath[b == 0]
-        self._bath_index = np.searchsorted(bath_strings, bath)
-        self._bath_count = bath_strings.size
+        weights = np.sqrt([params.p / n, 1.0 - params.p])
+        flags = np.array([one_excitation, bath == 0]) * weights[:, None]
+        pair = np.array(branch_vectors(params.alpha, params.beta)).real.reshape(2, 2, 2)
+        amps = pair[:, :, b] * flags[:, None]
+        a_down, a_up = amps[..., : down_bath.size], amps[..., down_bath.size :]
+        # x = U^T a_up and y = V^T a_down rotate; the rest of a_down stands still
+        x, y = a_up @ u, a_down @ vt.T
+        rest = a_down - y @ vt
+        # G = U^T V and h = U^T rest on the down strings that share an up string's bath
+        shared = np.searchsorted(down_bath, up_bath)
+        self._g = u.T @ vt[:, shared].T
+        self._h = (rest[..., shared] @ u).swapaxes(0, 1)
+        self._rest = np.tensordot(rest, rest, axes=([0, 2], [0, 2]))
+        # (A, branch, singular vector) factors of the rows cx, sy, cy, sx below
+        self._factors = np.array([x, y, y, x]).swapaxes(1, 2)
 
     def reduced_states(self, times: Sequence[float] | np.ndarray) -> np.ndarray:
         """(T, 4, 4) stack of the reduced pair states at T times, bath traced out.
 
-        The matrices are not validated; `density_spectra` checks a stack.
-        The grid runs in batches of at most ORACLE_CHUNK_AMPLITUDES / D
-        points for a basis of D bit strings, and each matrix has the same
-        bits whatever the batch.
+        With c = cos(St) x - i sin(St) y on U's columns and e = cos(St) y -
+        i sin(St) x on V's, the blocks are c c^dagger (B up), e e^dagger plus
+        the rest's Gram matrix (B down) and c (e G^T + h)^dagger between them.
+        The matrices are not validated, and have the same bits in any stack.
         """
         times = np.asarray(times, dtype=float)
         negative = times < 0.0
         if negative.any():
             raise ValueError(f"time must be non-negative, got {float(times[negative][0])!r}")
-        rho = np.zeros((times.size, 4, 4), dtype=complex)
-        chunk = max(1, ORACLE_CHUNK_AMPLITUDES // self.basis.size)
-        for start in range(0, times.size, chunk):
-            t = times[start : start + chunk]
-            z = self._coeffs * np.exp(-1j * self.eigenvalues * t[:, None, None, None])
-            # the eigenbasis is real: rotate back the real and imaginary parts
-            evolved = z.real @ self._vecs.T + 1j * (z.imag @ self._vecs.T)
-            m = np.zeros((t.size, 2, 4, self._bath_count), dtype=complex)
-            m[:, :, self._rows, self._bath_index] = evolved
-            batch = rho[start : start + t.size]
-            for weight, mk in zip(self._weights, m.swapaxes(0, 1)):
-                batch += weight * (mk @ dagger(mk))
-        return rho
+        size, width = times.size, self.frequencies.size
+        angles = np.multiply.outer(times, self.frequencies)[:, None, None, None]
+        cos, sin = np.cos(angles), np.sin(angles)
+        # rows by (A, branch, singular vector) in pairs (cx, sy), (cy, sx) and
+        # (fr, fi): c = cx - i sy, e = cy - i sx and e G^T + h = fr - i fi
+        z = np.empty((size, 6, 2, 2, width))
+        np.multiply(np.concatenate([cos, sin, cos, sin], axis=1), self._factors, out=z[:, :4])
+        pairs = z.reshape(size, 3, 8, width)
+        np.matmul(pairs[:, 1], self._g.T, out=pairs[:, 2])
+        z[:, 4] += self._h
+        z = z.reshape(size, 12, 2 * width)
+        q = (z[:, :8] @ z.swapaxes(1, 2)).reshape(size, 4, 2, 6, 2)
+        # c c^dagger, e e^dagger and c (fr - i fi)^dagger, each of the form
+        # (a - i b)(c - i d)^dagger = a c^T + b d^T + i (a d^T - b c^T)
+        a, b, c, d = [0, 2, 0], [1, 3, 1], [0, 2, 4], [1, 3, 5]
+        blocks = q[:, a, :, c] + q[:, b, :, d] + 1j * (q[:, a, :, d] - q[:, b, :, c])
+        blocks[1] += self._rest
+        rho = np.empty((size, 2, 2, 2, 2), dtype=complex)  # (A, B, A', B')
+        rho[:, :, [1, 0, 1], :, [1, 0, 0]] = blocks
+        rho[:, :, 0, :, 1] = blocks[2].conj().swapaxes(1, 2)
+        return rho.reshape(size, 4, 4)
 
     def reduced_state(self, t: float) -> DensityMatrix:
         """Reduced pair state at time t, all bath spins traced out: `reduced_states` at t."""

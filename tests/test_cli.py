@@ -24,6 +24,7 @@ from spinstar.cli import (
     main,
 )
 from spinstar.model import (
+    ENV_LEVELS,
     MAX_BATH_SPINS,
     SpinStarParams,
     build_initial_state,
@@ -43,10 +44,10 @@ from spinstar.model import (
 HIDDEN_PEAK_RSS_MB = 60
 
 #: ceiling on the peak resident set of ORACLE_RSS_ARGV, in MB, measured as for
-#: HIDDEN_PEAK_RSS_MB: 39.4 MB point by point, 39.0 MB in batches, 49.2 MB with
-#: the whole grid in one pair stack and 62.4 MB with each batch's amplitudes
-#: in one array.  All of the grid's amplitudes at once would need about 0.5 GB
-ORACLE_PEAK_RSS_MB = 44
+#: HIDDEN_PEAK_RSS_MB.  It peaked at 38.0-38.2 MB with the dense eigenbasis,
+#: and at 36.1-36.2 MB from the B-flip block's singular vectors in batches of
+#: `states.PAIR_BATCH` points; the whole grid in one stack peaked at 81.5 MB
+ORACLE_PEAK_RSS_MB = 41
 
 #: an oracle grid long enough that unbatched stacks would show in the peak
 ORACLE_RSS_ARGV = ("sweep", "--oracle", "--env-spins", "22", "--steps", "8000")
@@ -335,6 +336,20 @@ class TestSweep:
                 "--alpha", alpha, "--beta", beta, "--t-max", t_max, "--steps", "300",
             )
             assert (code, err) == (EXIT_OK, ""), (alpha, beta)
+
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+    def test_largest_oracle_bath_on_a_long_grid(self, p):
+        """At the oracle cap, 2000 points up to omega*t = 1e3: c_numeric stays
+        within 1e-12 of the closed form, and mi within the oracle's bound."""
+        params = SpinStarParams(env_spins=MAX_BATH_SPINS, p=p)
+        grid = np.linspace(0.0, 1e3, 2000)
+        times = grid / params.omega
+        c_numeric, mi = cli._oracle_columns(cli.BruteForceEvolver(params), times, 10.0)
+        closed = [concurrence_closed_form(params, t) for t in times.tolist()]
+        assert np.max(np.abs(c_numeric - closed)) <= 1e-12
+        angle = cli._check_angles(params, grid[-1], ENV_LEVELS - 2)
+        mi_tol = cli.SWEEP_MI_TOL + 16 * sys.float_info.epsilon * angle
+        assert np.max(np.abs(mi - mi_closed_form(params, times, 10.0))) <= mi_tol
 
     @pytest.mark.skipif(
         not sys.platform.startswith("linux"), reason="reads VmHWM, which only Linux reports"
@@ -629,6 +644,37 @@ def test_first_failure_names_the_first_failing_row_and_check(drawn):
     )
 
 
+@st.composite
+def oracle_draws(draw):
+    """Oracle parameters: a bath of 2 to MAX_BATH_SPINS spins, p at an edge,
+    tiny or uniform, special or uniform angles, then a grid end up to
+    omega*t = 1e3 and a log base."""
+    special = st.sampled_from((0.0, math.pi / 4.0, math.pi / 2.0, math.pi))
+    angle = st.one_of(special, st.floats(0.0, 2.0 * math.pi))
+    params = SpinStarParams(
+        env_spins=draw(st.integers(2, MAX_BATH_SPINS)),
+        p=draw(st.one_of(st.sampled_from((0.0, 1e-9, 1.0)), st.floats(0.0, 1.0))),
+        alpha=draw(angle),
+        beta=draw(angle),
+    )
+    return params, draw(st.floats(1.0, 1e3)), draw(st.sampled_from((2.0, math.e, 10.0)))
+
+
+@settings(deadline=None, max_examples=50)
+@given(oracle_draws())
+def test_oracle_mi_matches_the_closed_form_and_the_sector_route(drawn):
+    """The oracle's mi column stays within its bound of `mi_closed_form`, and
+    within that bound plus the sector one of the sector route's column."""
+    params, t_max, base = drawn
+    times = np.linspace(0.0, t_max, 24) / params.omega
+    _, oracle_mi = cli._oracle_columns(cli.BruteForceEvolver(params), times, base)
+    _, sector_mi = cli._sector_columns(params, times, base)
+    angle = cli._check_angles(params, t_max, ENV_LEVELS - 2)
+    oracle_tol = cli.SWEEP_MI_TOL + 16 * sys.float_info.epsilon * angle
+    assert np.max(np.abs(oracle_mi - mi_closed_form(params, times, base))) <= oracle_tol
+    assert np.max(np.abs(oracle_mi - sector_mi)) <= oracle_tol + cli.SWEEP_MI_TOL
+
+
 class TestParserReuse:
     """`main` builds its parser once per process, and no call leaves state in it."""
 
@@ -721,7 +767,7 @@ def test_bad_input_exits_2_with_a_message(capsys, argv):
     """Non-finite numbers, negative check times and seeds, oracle baths past
     the cap, grids past the step ceiling, the removed `sweep --seed` and
     `markov-check` bath flags, times or frequencies that overflow, baths too
-    large for a float, and oracle grids past the reach of its eigenphases are
+    large for a float, and oracle grids past the reach of its phases are
     refused before any work."""
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE
@@ -770,16 +816,19 @@ def test_output_file_is_rewritten_whole(capsys, tmp_path):
     assert target.read_text() == run(capsys, "sweep", "--steps", "3")[1]
 
 
-@pytest.mark.parametrize("existing", [False, True])
+@pytest.mark.parametrize("existing", [False, True, "hard link"])
 def test_one_file_for_both_outputs_is_refused(capsys, tmp_path, monkeypatch, existing):
-    """--output and --svg naming one file, here once by a relative path, exit
-    2 before either is opened: a new file is not created, an old one keeps its
-    bytes."""
-    target = tmp_path / "both"
+    """--output and --svg naming one file, here once by a relative path and
+    once by a hard link, exit 2 before either is opened: a new file is not
+    created, an old one keeps its bytes."""
+    target = svg = tmp_path / "both"
     if existing:
         target.write_bytes(b"old bytes\n")
+    if existing == "hard link":
+        svg = tmp_path / "link"
+        os.link(target, svg)
     monkeypatch.chdir(tmp_path)
-    code, out, err = run(capsys, "sweep", "--steps", "3", "--output", "both", "--svg", str(target))
+    code, out, err = run(capsys, "sweep", "--steps", "3", "--output", "both", "--svg", str(svg))
     assert (code, out) == (EXIT_USAGE, "")
     assert err.startswith("error:") and err.count("\n") == 1
     if existing:

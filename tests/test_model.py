@@ -28,10 +28,10 @@ from spinstar import (
 )
 from spinstar.linalg import dagger, identity
 from spinstar.cli import SWEEP_MI_TOL
+from spinstar.states import PAIR_BATCH
 from spinstar.model import (
     ENV_LEVELS,
     MAX_BATH_SPINS,
-    ORACLE_CHUNK_AMPLITUDES,
     PAIR_DIMS,
     PAIR_ENV_DIMS,
     ZeroDiscordFamily,
@@ -447,41 +447,52 @@ def _dense_reduced_pair(params, t):
     return rho
 
 
+def _up_row(evolver, *set_bits):
+    """Row of the oracle's flip block K of the B-up string with these bits."""
+    return _bit_index(evolver, *set_bits) - (evolver.basis.size - evolver.flip_block.shape[0])
+
+
 class TestFullHamiltonian:
-    """The oracle's flip-flop generator on the (B, bath) bit strings with at
-    most two excitations; qubit B is bit N, above the N bath-spin bits."""
+    """The oracle's flip-flop generator [[0, K], [K^T, 0]] on the (B, bath)
+    bit strings with at most two excitations; qubit B is bit N, above the N
+    bath-spin bits, and K runs from the strings with B up to those with B down."""
 
     def test_single_spin_matrix_element(self):
         evolver = BruteForceEvolver(default_params(env_spins=2, coupling=1.4))
-        h = evolver.generator
+        k = evolver.flip_block
         # <1_B, 00 | H | 0_B, 10> couples two single-excitation states
-        assert h[_bit_index(evolver, 2), _bit_index(evolver, 1)] == pytest.approx(1.4)
-        np.testing.assert_array_equal(h, dagger(h))
+        assert k[_up_row(evolver, 2), _bit_index(evolver, 1)] == pytest.approx(1.4)
+        assert set(np.unique(k)) == {0.0, 1.4}
 
     def test_two_spin_spectrum_contains_collective_frequency(self):
+        """The generator's spectrum is +-S and zeros, with +-g sqrt(2) in it."""
         evolver = BruteForceEvolver(default_params(env_spins=2, coupling=1.3))
-        target = 1.3 * math.sqrt(2.0)
-        assert np.min(np.abs(evolver.eigenvalues - target)) <= 1e-12
-        assert np.min(np.abs(evolver.eigenvalues + target)) <= 1e-12
+        k, sigma = evolver.flip_block, evolver.frequencies
+        h = np.block([[np.zeros((k.shape[0],) * 2), k], [k.T, np.zeros((k.shape[1],) * 2)]])
+        expected = np.concatenate([sigma, -sigma, np.zeros(k.shape[1] - k.shape[0])])
+        np.testing.assert_allclose(np.linalg.eigvalsh(h), np.sort(expected), atol=1e-12)
+        assert np.min(np.abs(sigma - 1.3 * math.sqrt(2.0))) <= 1e-12
 
     def test_collective_matrix_element_grows_as_sqrt_n(self):
         g = 0.9
         evolver = BruteForceEvolver(default_params(env_spins=4, coupling=g))
-        bra = np.zeros(evolver.basis.size)
-        bra[_bit_index(evolver, 4)] = 1.0  # |1_B, 0000>
-        ket = np.zeros(evolver.basis.size)
+        bra = np.zeros(evolver.flip_block.shape[0])
+        bra[_up_row(evolver, 4)] = 1.0  # |1_B, 0000>
+        ket = np.zeros(evolver.flip_block.shape[1])
         ket[[_bit_index(evolver, i) for i in range(4)]] = 0.5  # |0_B, Dicke 1>
-        assert bra @ evolver.generator @ ket == pytest.approx(g * 2.0, abs=1e-12)
+        assert bra @ evolver.flip_block @ ket == pytest.approx(g * 2.0, abs=1e-12)
 
     def test_conserves_total_excitation(self):
         evolver = BruteForceEvolver(default_params(env_spins=5, coupling=1.1))
-        rows, cols = np.nonzero(evolver.generator)
-        excitations = np.array([int(s).bit_count() for s in evolver.basis])
-        np.testing.assert_array_equal(excitations[rows], excitations[cols])
+        rows, cols = np.nonzero(evolver.flip_block)
+        up = evolver.basis[evolver.basis.size - evolver.flip_block.shape[0] :][rows]
+        down = evolver.basis[cols]
+        assert np.all(up >> 5 == 1) and np.all(down >> 5 == 0)
+        np.testing.assert_array_equal(
+            [int(s).bit_count() for s in up], [int(s).bit_count() for s in down]
+        )
         # every coupling moves one excitation between B and one bath spin
-        moved = evolver.basis[rows] ^ evolver.basis[cols]
-        assert np.all((moved & (1 << 5)) != 0)
-        assert all(int(s).bit_count() == 2 for s in moved)
+        assert all(int(s).bit_count() == 2 for s in up ^ down)
 
     def test_basis_holds_the_strings_with_at_most_two_excitations(self):
         for n_spins in (2, 10, 20):
@@ -524,31 +535,35 @@ def per_point_terms(params, t):
 
 
 def loop_reduced_state(evolver, t):
-    """The oracle's pair state at one time, rotated back on its own."""
-    z = evolver._coeffs * np.exp(-1j * evolver.eigenvalues * t)
-    evolved = z.real @ evolver._vecs.T + 1j * (z.imag @ evolver._vecs.T)
-    m = np.zeros((2, 4, evolver._bath_count), dtype=complex)
-    m[:, evolver._rows, evolver._bath_index] = evolved
-    rho = np.zeros((4, 4), dtype=complex)
-    for weight, mk in zip(evolver._weights, m):
-        rho += weight * (mk @ dagger(mk))
-    return rho
+    """The oracle's pair state at one time from its SVD factors, in complex arithmetic."""
+    x, y = evolver._factors[:2]  # (A, branch, singular vector)
+    cos, sin = np.cos(evolver.frequencies * t), np.sin(evolver.frequencies * t)
+    c = cos * x - 1j * sin * y
+    e = cos * y - 1j * sin * x
+    f = (e @ evolver._g.T + evolver._h).reshape(2, -1)
+    c, e = c.reshape(2, -1), e.reshape(2, -1)
+    rho = np.zeros((2, 2, 2, 2), dtype=complex)  # (A, B, A', B')
+    rho[:, 1, :, 1] = c @ dagger(c)
+    rho[:, 0, :, 0] = e @ dagger(e) + evolver._rest
+    rho[:, 1, :, 0] = c @ dagger(f)
+    rho[:, 0, :, 1] = f @ dagger(c)
+    return rho.reshape(4, 4)
 
 
 class TestBruteForceEvolver:
     @pytest.mark.parametrize("n_spins", [2, 7, 62])
     def test_stacked_states_match_each_point_bit_for_bit(self, n_spins):
-        """Every batch size gives each point the bits of its own rotation."""
+        """Every stack gives each point the bits of its own call, and the
+        complex-arithmetic reading of the SVD factors up to rounding."""
         params = default_params(env_spins=n_spins, coupling=0.8, p=0.3, alpha=0.7, beta=1.2)
         evolver = BruteForceEvolver(params)
-        chunk = max(1, ORACLE_CHUNK_AMPLITUDES // evolver.basis.size)
-        times = np.linspace(0.0, 40.0, 2 * chunk + 3) / params.omega
+        times = np.linspace(0.0, 40.0, PAIR_BATCH + 3) / params.omega
         stacked = evolver.reduced_states(times)
         assert stacked.shape == (times.size, 4, 4)
+        assert np.array_equal(evolver.reduced_states(times[5:40]), stacked[5:40])
         for t, rho in zip(times, stacked):
-            expected = loop_reduced_state(evolver, t)
-            assert np.array_equal(rho, expected)
-            assert np.array_equal(evolver.reduced_state(t).mat, expected)
+            assert np.array_equal(evolver.reduced_state(t).mat, rho)
+            assert np.max(np.abs(loop_reduced_state(evolver, t) - rho)) <= 1e-15
 
     def test_stacked_states_refuse_a_negative_time(self):
         evolver = BruteForceEvolver(default_params(env_spins=2))
