@@ -73,7 +73,7 @@ ENV_LEVELS = 4
 
 #: largest bath of the full-space oracle: its (B, bath) bit strings are int64
 #: and need N + 1 <= 63 bits; `sweep --oracle --env-spins 62 --steps 3` peaks
-#: at 35 MB resident, against 220 MB with a dense eigensolve of the generator
+#: at 35 MB resident
 MAX_BATH_SPINS = 62
 
 #: default dims for states on (isolated qubit, coupled qubit, effective bath)
@@ -476,11 +476,11 @@ class BruteForceEvolver:
 
     The coupling conserves excitation number, at most two on (B, bath) in
     either branch, so the amplitudes live on the 1 + (N+1) + C(N+1, 2) bit
-    strings with at most two set bits.  Every coupling flips qubit B: from
-    the N + 1 strings with B up to the others the generator is
-    [[0, K], [K^T, 0]], and with K = U S V^T each pair of singular vectors
-    rotates at its singular value while the rest stands still.  The
-    symmetric ladder is not used, so this checks it.
+    strings with at most two set bits.  Every coupling flips qubit B: from the
+    N + 1 strings with B up to the others the generator is [[0, K], [K^T, 0]],
+    and with K = U S V^T each pair of singular vectors rotates at its singular
+    value while the rest stands still.  No use is made of the symmetric
+    ladder, so this checks the ladder reduction.
     """
 
     def __init__(self, params: SpinStarParams):
@@ -546,11 +546,11 @@ class BruteForceEvolver:
         np.matmul(pairs[:, 1], self._g.T, out=pairs[:, 2])
         z[:, 4] += self._h
         z = z.reshape(size, 12, 2 * width)
-        q = (z[:, :8] @ z.swapaxes(1, 2)).reshape(size, 4, 2, 6, 2)
+        q = (z[:, :8] @ z.swapaxes(1, 2)).reshape(size, 4, 2, 6, 2)  # (row, A, row, A')
         # c c^dagger, e e^dagger and c (fr - i fi)^dagger, each of the form
-        # (a - i b)(c - i d)^dagger = a c^T + b d^T + i (a d^T - b c^T)
-        a, b, c, d = [0, 2, 0], [1, 3, 1], [0, 2, 4], [1, 3, 5]
-        blocks = q[:, a, :, c] + q[:, b, :, d] + 1j * (q[:, a, :, d] - q[:, b, :, c])
+        # (a - i b)(f - i g)^dagger = a f^T + b g^T + i (a g^T - b f^T)
+        a, b, f, g = [0, 2, 0], [1, 3, 1], [0, 2, 4], [1, 3, 5]
+        blocks = q[:, a, :, f] + q[:, b, :, g] + 1j * (q[:, a, :, g] - q[:, b, :, f])
         blocks[1] += self._rest
         rho = np.empty((size, 2, 2, 2, 2), dtype=complex)  # (A, B, A', B')
         rho[:, :, [1, 0, 1], :, [1, 0, 0]] = blocks

@@ -44,9 +44,8 @@ from spinstar.model import (
 HIDDEN_PEAK_RSS_MB = 60
 
 #: ceiling on the peak resident set of ORACLE_RSS_ARGV, in MB, measured as for
-#: HIDDEN_PEAK_RSS_MB.  It peaked at 38.0-38.2 MB with the dense eigenbasis,
-#: and at 36.1-36.2 MB from the B-flip block's singular vectors in batches of
-#: `states.PAIR_BATCH` points; the whole grid in one stack peaked at 81.5 MB
+#: HIDDEN_PEAK_RSS_MB: 36.1-36.2 MB in batches of `states.PAIR_BATCH` points,
+#: and 81.5 MB with the whole grid in one stack
 ORACLE_PEAK_RSS_MB = 41
 
 #: an oracle grid long enough that unbatched stacks would show in the peak
