@@ -298,7 +298,6 @@ def ruc_columns(rho0: DensityMatrix, t_grid: Sequence[float]) -> tuple[np.ndarra
         unitaries = _phase_dial(t)
         _check_unitaries(unitaries)
         members = local_conjugates(rho0.mat, unitaries)
-        density_spectra(members, rho0.dims)
         c_ens, c_mix, hidden = hidden_entanglement_stack(weights, members, rho0.dims)
         convex_bad = ~(hidden >= -CONVEXITY_TOL)
         bad = convex_bad | ~(np.abs(c_ens - c0) <= DRIFT_TOL)

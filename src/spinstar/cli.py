@@ -18,7 +18,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .channels import COMPLETENESS_TOL, kraus_audit, ruc_columns
-from .entanglement import RANK_TOL, concurrence_2q, concurrence_2q_stack, inaccessible_concurrence
+from .entanglement import RANK_TOL, concurrence_2q, concurrence_2q_eig, inaccessible_concurrence
 from .markov import (
     CMI_TOL,
     MarkovBlock,
@@ -37,6 +37,7 @@ from .model import (
     cmi_closed_form,
     concurrence_a_be,
     concurrence_closed_form,
+    concurrence_closed_form_stack,
     evolve_sector,
     mi_closed_form,
     zero_discord_family,
@@ -46,7 +47,7 @@ from .states import (
     PAIR_DIMS,
     DensityMatrix,
     DimsSpec,
-    density_spectra,
+    density_eig,
     mutual_information,
     mutual_information_stack,
     partial_trace,
@@ -329,13 +330,16 @@ def _sector_columns(
 def _oracle_columns(
     evolver: BruteForceEvolver, times: np.ndarray, base: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """c_numeric and mi at each time from full-space evolution, in stacked batches."""
+    """c_numeric and mi at each time from full-space evolution, in stacked batches.
+
+    Each batch of pair states is solved once, by the eigh that validates it.
+    """
     c_numeric, mi = [], []
     for start in range(0, len(times), PAIR_BATCH):
         pairs = evolver.reduced_states(times[start : start + PAIR_BATCH])
-        spectra = density_spectra(pairs, PAIR_DIMS)
-        c_numeric.append(concurrence_2q_stack(pairs))
-        mi.append(mutual_information_stack(pairs, spectra, base))
+        vals, vecs = density_eig(pairs, PAIR_DIMS)
+        c_numeric.append(concurrence_2q_eig(vals, vecs))
+        mi.append(mutual_information_stack(pairs, vals, base))
     return np.concatenate(c_numeric), np.concatenate(mi)
 
 
@@ -382,11 +386,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return _fail(EXIT_USAGE, f"error: {exc}")
     base = _LOG_BASES[args.log_base]
     times = grid / params.omega
-    c_closed = np.array([concurrence_closed_form(params, t) for t in times.tolist()])
     if evolver is None:
+        # per point, as the sector route's other calls
+        c_closed = np.array([concurrence_closed_form(params, t) for t in times.tolist()])
         c_numeric, mi = _sector_columns(params, times, base)
         mi_tol = SWEEP_MI_TOL
     else:
+        c_closed = concurrence_closed_form_stack(params, times)
         c_numeric, mi = _oracle_columns(evolver, times, base)
         mi_tol = SWEEP_MI_TOL + 16 * sys.float_info.epsilon * angle
     failure = _first_failure(

@@ -23,7 +23,7 @@ from .states import (
     PureState,
     check_probabilities,
     check_two_qubit,
-    density_spectra,
+    density_eig,
     split_cut,
 )
 
@@ -74,10 +74,12 @@ def concurrence_pure(psi: PureState, cut: Cut) -> float:
     return math.sqrt(max(0.0, 2.0 * (1.0 - purity)))
 
 
-def _spin_flip_stack(mats: np.ndarray) -> np.ndarray:
-    """Descending spin-flip coefficients of each two-qubit density matrix in a (..., 4, 4) stack.
+def _spin_flip_stack(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Descending spin-flip coefficients of a two-qubit density matrix, or of each in a stack.
 
-    Writes rho = W W^dagger through its spectral decomposition and returns the
+    vals and vecs are the (..., 4) ascending eigenvalues and (..., 4, 4)
+    eigenvector columns of the matrices, as `herm_eig` and `density_eig` give
+    them.  Writes rho = W W^dagger through that decomposition and returns the
     singular values of the complex symmetric matrix W^T (Y x Y) W, zero padded
     to length four.  Their squares are the eigenvalues of rho Y rho* Y, but
     taking singular values at the amplitude level keeps coefficients that are
@@ -86,7 +88,6 @@ def _spin_flip_stack(mats: np.ndarray) -> np.ndarray:
     Eigenvalues of rho at or below RANK_TOL carry no usable amplitude and are
     dropped.
     """
-    vals, vecs = herm_eig(mats)
     lams = np.zeros(vals.shape)
     # eigenvalues ascend, so the kept ones are the last r of each matrix:
     # grouping by r hands each svd the same r x r tau as a single matrix gets
@@ -107,13 +108,14 @@ def _spin_flip_stack(mats: np.ndarray) -> np.ndarray:
     return lams
 
 
-def concurrence_2q_stack(mats: np.ndarray) -> np.ndarray:
-    """Concurrence of each two-qubit density matrix in a (..., 4, 4) stack.
+def concurrence_2q_eig(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Concurrence of each validated two-qubit density matrix in a stack, from its eigh.
 
-    The matrices must already be validated, as `density_spectra` does; the
-    coefficients are those of `_spin_flip_stack`.
+    (vals, vecs) is the (..., 4) and (..., 4, 4) eigendecomposition that
+    `density_eig` returns with its checks; the coefficients are those of
+    `_spin_flip_stack`.
     """
-    lams = _spin_flip_stack(mats)
+    lams = _spin_flip_stack(vals, vecs)
     c = lams[..., 0] - lams[..., 1] - lams[..., 2] - lams[..., 3]
     return np.where(c > 0.0, c, 0.0)
 
@@ -125,7 +127,7 @@ def concurrence_2q(rho: DensityMatrix) -> float:
     must be traced out first.
     """
     check_two_qubit(rho, "state")
-    lams = _spin_flip_stack(rho.mat)
+    lams = _spin_flip_stack(*herm_eig(rho.mat))
     return max(0.0, float(lams[0] - lams[1] - lams[2] - lams[3]))
 
 
@@ -190,25 +192,27 @@ def hidden_entanglement_stack(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ensemble-averaged concurrence, mixture concurrence and their gap at each point.
 
-    mats is a (T, K, 4, 4) stack of validated two-qubit density matrices over
-    dims, K ensemble members at each of T points, mixed with the same K
-    checked weights everywhere.  The ensemble average is the correctly
-    rounded weighted sum, and each mixture is summed in member order and
-    validated.  The caller checks convexity, so that it can order that check
-    among its own.
+    mats is a (T, K, 4, 4) stack of two-qubit density matrices over dims, K
+    ensemble members at each of T points, mixed with the same K checked
+    weights everywhere.  Every member, then every mixture, is validated by
+    `density_eig`, with a failure reported for the first offending matrix,
+    and its concurrence comes from the eigendecomposition that validated it.
+    The ensemble average is the correctly rounded weighted sum, and each
+    mixture is summed in member order.  The caller checks convexity, so that
+    it can order that check among its own.
     """
-    terms = concurrence_2q_stack(mats) * np.asarray(weights)
+    terms = concurrence_2q_eig(*density_eig(mats, dims)) * np.asarray(weights)
     c_ens = np.array([math.fsum(row) for row in terms.tolist()])
     mixture = ordered_sum((w * mats[:, k] for k, w in enumerate(weights)), start=0)
-    density_spectra(mixture, dims)
-    c_mix = concurrence_2q_stack(mixture)
+    c_mix = concurrence_2q_eig(*density_eig(mixture, dims))
     return c_ens, c_mix, c_ens - c_mix
 
 
 def hidden_entanglement(members: Sequence[EnsembleMember]) -> tuple[float, float, float]:
     """Ensemble-averaged concurrence, mixture concurrence, and their gap.
 
-    The members are two-qubit density matrices.  Returns (ensemble average,
+    The members are two-qubit density matrices, checked again at the default
+    tolerances by `hidden_entanglement_stack`.  Returns (ensemble average,
     concurrence of their weighted mixture, hidden entanglement), the last
     being the first minus the second.  Convexity of the concurrence keeps the
     gap non-negative up to rounding.

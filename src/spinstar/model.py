@@ -281,6 +281,26 @@ def build_w_state(x: float, y: float, z: float) -> PureState:
     return PureState(vec, PAIR_ENV_DIMS)
 
 
+def _time_failure(t: float) -> ValueError:
+    return ValueError(f"time must be finite and non-negative, got {t!r}")
+
+
+def _terms(params: SpinStarParams, t, xp) -> tuple:
+    """`closed_form_terms` at a float t with xp = math, or at each of an array with xp = numpy.
+
+    The one copy of the formula: both views make the same operations in the
+    same order, so they can differ only where numpy's elementwise cos, sin and
+    square round otherwise than the math module's.
+    """
+    a, b, c, d, e, f = params._closed_form_weights
+    angle, angle1 = params.omega * t, params.omega1 * t
+    cos_w, sin_w = xp.cos(angle), xp.sin(angle)
+    cos_w1, sin_w1 = xp.cos(angle1), xp.sin(angle1)
+    term1 = abs(e * cos_w1 * cos_w) - xp.sqrt((b * cos_w**2 + f * sin_w**2) * (a + d * sin_w1**2))
+    term2 = abs(c * cos_w) - xp.sqrt((b * sin_w**2 + f * cos_w**2) * (d * cos_w1**2))
+    return term1, term2
+
+
 def closed_form_terms(params: SpinStarParams, t: float) -> tuple[float, float]:
     """The two competing terms whose positive part sets the pair concurrence.
 
@@ -288,22 +308,29 @@ def closed_form_terms(params: SpinStarParams, t: float) -> tuple[float, float]:
     the first branch's, and c, e the respective coherences.
     """
     if not 0.0 <= t < math.inf:
-        raise ValueError(f"time must be finite and non-negative, got {t!r}")
-    a, b, c, d, e, f = params._closed_form_weights
-    angle, angle1 = params.omega * t, params.omega1 * t
-    cos_w, sin_w = math.cos(angle), math.sin(angle)
-    cos_w1, sin_w1 = math.cos(angle1), math.sin(angle1)
-    term1 = abs(e * cos_w1 * cos_w) - math.sqrt(
-        (b * cos_w**2 + f * sin_w**2) * (a + d * sin_w1**2)
-    )
-    term2 = abs(c * cos_w) - math.sqrt((b * sin_w**2 + f * cos_w**2) * (d * cos_w1**2))
-    return term1, term2
+        raise _time_failure(t)
+    return _terms(params, t, math)
 
 
 def concurrence_closed_form(params: SpinStarParams, t: float) -> float:
     """Concurrence of the reduced pair state at time t, in closed form."""
     term1, term2 = closed_form_terms(params, t)
     return 2.0 * max(0.0, term1, term2)
+
+
+def concurrence_closed_form_stack(params: SpinStarParams, times: Sequence[float]) -> np.ndarray:
+    """`concurrence_closed_form` at each time, evaluated as one stack.
+
+    A time that is not finite and non-negative is refused with the scalar's
+    message, for the first one in order.  A value that is not above zero is
+    +0.0, as the scalar gives it.
+    """
+    times = np.asarray(times, dtype=float)
+    bad = ~((times >= 0.0) & (times < math.inf))
+    if bad.any():
+        raise _time_failure(times.flat[int(np.argmax(bad))].item())
+    best = np.maximum(*_terms(params, times, np))
+    return 2.0 * np.where(best > 0.0, best, 0.0)
 
 
 def concurrence_a_be(params: SpinStarParams) -> float:

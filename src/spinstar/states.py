@@ -110,16 +110,9 @@ def check_two_qubit(rho: DensityMatrix, what: str) -> None:
         raise ValueError(f"need a two-qubit {what}, got {rho.dims!r}")
 
 
-def density_spectra(
-    mats: np.ndarray, dims: DimsSpec, *, trace_tol: float = 1e-10, eig_floor: float = 1e-9
-) -> np.ndarray:
-    """Ascending spectra of a density matrix over `dims`, or of each in a (..., d, d) stack.
-
-    Every matrix must be Hermitian, of unit trace within trace_tol and have
-    no eigenvalue below -eig_floor; a failure reports the first offending
-    matrix in row-major order.  The spectra are those of the symmetrized
-    matrices.
-    """
+def _density_hermitian_part(mats: np.ndarray, dims: DimsSpec, trace_tol: float) -> np.ndarray:
+    """The symmetrized matrices of a density matrix over `dims` or of a stack,
+    once each is Hermitian and of unit trace within trace_tol."""
     mats = np.asarray(mats)
     sym = hermitian_part(mats, "density matrix")
     if sym.shape[-1] != dims.total_dim:
@@ -132,13 +125,46 @@ def density_spectra(
     for tr in np.asarray(mats.trace(axis1=-2, axis2=-1)).ravel().tolist():
         if abs(tr - 1.0) > trace_tol:
             raise ValueError(f"density matrix trace {tr:.12g} is not 1 within {trace_tol:.1e}")
-    vals = np.linalg.eigvalsh(sym)
+    return sym
+
+
+def _check_positive(vals: np.ndarray, eig_floor: float) -> None:
+    """Refuse ascending spectra where one has an eigenvalue below -eig_floor."""
     for low in vals[..., :1].ravel().tolist():
         if low < -eig_floor:
             raise ValueError(
                 f"density matrix is not positive semidefinite: min eigenvalue {low:.3e}"
             )
+
+
+def density_spectra(
+    mats: np.ndarray, dims: DimsSpec, *, trace_tol: float = 1e-10, eig_floor: float = 1e-9
+) -> np.ndarray:
+    """Ascending spectra of a density matrix over `dims`, or of each in a (..., d, d) stack.
+
+    Every matrix must be Hermitian, of unit trace within trace_tol and have
+    no eigenvalue below -eig_floor; a failure reports the first offending
+    matrix in row-major order.  The spectra are those of the symmetrized
+    matrices.
+    """
+    vals = np.linalg.eigvalsh(_density_hermitian_part(mats, dims, trace_tol))
+    _check_positive(vals, eig_floor)
     return vals
+
+
+def density_eig(
+    mats: np.ndarray, dims: DimsSpec, *, trace_tol: float = 1e-10, eig_floor: float = 1e-9
+) -> tuple[np.ndarray, np.ndarray]:
+    """`density_spectra`'s checks, returning each matrix's eigendecomposition.
+
+    One eigh of the symmetrized stack gives (vals, vecs): eigenvalues
+    ascending and eigenvectors as columns, as `linalg.herm_eig` returns them
+    for the same matrices.  Its eigenvalues can differ from eigvalsh's in the
+    last bit.
+    """
+    vals, vecs = np.linalg.eigh(_density_hermitian_part(mats, dims, trace_tol))
+    _check_positive(vals, eig_floor)
+    return vals, vecs
 
 
 class DensityMatrix:
@@ -366,10 +392,13 @@ def mutual_information_stack(mats: np.ndarray, spectra: np.ndarray, base: float 
     """I(A:B) of each two-qubit density matrix in a (T, 4, 4) stack.
 
     The matrices must already be validated, and spectra is their (T, 4)
-    ascending spectra, as `density_spectra` returns both.  Each value has
-    the bits `mutual_information` gives for the A|B cut of that matrix, and
-    a failure gives its message for the first offending matrix: at one
-    matrix the S(A), S(B) and S(AB) floors are checked before the sign.
+    ascending spectra: `sweep --oracle` passes the eigenvalues of the
+    `density_eig` that validated them, so S(AB) costs no second solve.  The
+    marginals' spectra are solved here.  Given `density_spectra`'s spectra,
+    each value has the bits `mutual_information` gives for the A|B cut of
+    that matrix, and a failure gives its message for the first offending
+    matrix: at one matrix the S(A), S(B) and S(AB) floors are checked before
+    the sign.
     """
     base = _check_base(base)
     keep_a, qubit = partial_trace_stack(mats, PAIR_DIMS, ("A",))

@@ -102,15 +102,16 @@ def corrupt_rows(monkeypatch, name, rows):
     shifted = {}
     done = 0
 
-    def corrupted(arg):
+    def corrupted(*args):
         nonlocal done
-        values = np.array(original(arg), dtype=float, ndmin=1)
+        result = original(*args)
+        values = np.array(result, dtype=float, ndmin=1)
         for k, row in enumerate(rows, start=1):
             if done <= row < done + values.size:
                 values[row - done] += k * 1e-5
                 shifted[row] = float(values[row - done])
         done += values.size
-        return values if name.endswith("_stack") else float(values[0])
+        return values if np.ndim(result) else float(values[0])
 
     monkeypatch.setattr(cli, name, corrupted)
     return shifted
@@ -240,7 +241,7 @@ class TestSweep:
         assert code == EXIT_OK, err
 
     @pytest.mark.parametrize(
-        "name, flags", [("concurrence_2q", ()), ("concurrence_2q_stack", ("--oracle",))]
+        "name, flags", [("concurrence_2q", ()), ("concurrence_2q_eig", ("--oracle",))]
     )
     def test_first_inconsistent_row_exits_3(self, capsys, monkeypatch, name, flags):
         """Rows past the oracle's first batch are shifted off the closed form,
@@ -400,6 +401,39 @@ def test_subcommand_loads_only_the_numpy_it_computes_with(argv):
     assert in_fresh_interpreter(argv, report) == ""
 
 
+def eigensolves(monkeypatch, capsys, *argv) -> list[tuple[str, tuple[int, ...]]]:
+    """(solver, input shape) of each `numpy.linalg` eigensolver call of a successful run."""
+    solves = []
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+
+        def counted(mat, *args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
+            solves.append((_name, np.shape(mat)))
+            return _solver(mat, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    code, _, err = run(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "")
+    return solves
+
+
+def test_oracle_sweep_solves_each_pair_stack_once(monkeypatch, capsys):
+    """One eigh per batch of pair states validates them and gives both their
+    concurrences and their joint entropies; only the 2x2 marginals are solved apart."""
+    argv = ("sweep", "--env-spins", "10", "--oracle", "--steps", "600")
+    solves = eigensolves(monkeypatch, capsys, *argv)
+    sizes = (256, 256, 88)
+    assert [shape for name, shape in solves if name == "eigh"] == [(n, 4, 4) for n in sizes]
+    assert [shape for name, shape in solves if name != "eigh"] == [(n, 2, 2, 2) for n in sizes]
+
+
+def test_hidden_solves_each_member_and_mixture_stack_once(monkeypatch, capsys):
+    """The initial state is solved by its construction and by its concurrence;
+    each batch's members, then its mixtures, by the one eigh that validates them."""
+    solves = eigensolves(monkeypatch, capsys, "hidden", "--steps", "600")
+    stacks = [(n, 2, 4, 4) if k == 0 else (n, 4, 4) for n in (256, 256, 88) for k in (0, 1)]
+    assert solves == [("eigvalsh", (4, 4)), ("eigh", (4, 4))] + [("eigh", s) for s in stacks]
+
+
 class TestKrausCheck:
     def test_default_sweep_passes(self, capsys):
         code, out, _ = run(capsys, "kraus-check")
@@ -527,11 +561,11 @@ class TestHidden:
         matrices = []
         original = entanglement._spin_flip_stack
 
-        def counted(mats):
-            matrices.append(np.asarray(mats)[..., 0, 0].size)
-            return original(mats)
+        def counted(vals, vecs):
+            matrices.append(vals[..., 0].size)
+            return original(vals, vecs)
 
-        # the kernel behind both concurrence_2q and concurrence_2q_stack
+        # the kernel behind both concurrence_2q and concurrence_2q_eig
         monkeypatch.setattr(entanglement, "_spin_flip_stack", counted)
         code, _, _ = run(capsys, "hidden", "--steps", "10")
         assert code == EXIT_OK
@@ -553,11 +587,11 @@ class TestHidden:
     def test_convexity_violation_exits_3(self, capsys, monkeypatch):
         # a stand-in measure that reads 1 on the pure branches and grows with
         # mixedness: at omega*t = pi/2 the mixture has purity 1/2 and reads 2
-        def rises_when_mixed(mats):
-            purity = np.einsum("...ij,...ji->...", mats, mats).real
+        def rises_when_mixed(vals, vecs):
+            purity = (vals**2).sum(axis=-1)
             return 1.0 + 2.0 * (1.0 - purity)
 
-        monkeypatch.setattr(entanglement, "concurrence_2q_stack", rises_when_mixed)
+        monkeypatch.setattr(entanglement, "concurrence_2q_eig", rises_when_mixed)
         err = self.run_failing(capsys)
         assert err.startswith("consistency failure: hidden entanglement -1.000e+00 below -1e-9")
         assert "convexity violated" in err

@@ -20,8 +20,8 @@ from spinstar import (
     inaccessible_concurrence,
     ppt_min_eigenvalue,
 )
-from spinstar.entanglement import RANK_TOL, SPIN_FLIP, _spin_flip_stack, concurrence_2q_stack
-from spinstar.linalg import SIGMA_Y, haar_unitary
+from spinstar.entanglement import RANK_TOL, SPIN_FLIP, _spin_flip_stack, concurrence_2q_eig
+from spinstar.linalg import SIGMA_Y, haar_unitary, herm_eig
 from spinstar.model import (
     branch_vectors,
     build_initial_state,
@@ -29,7 +29,7 @@ from spinstar.model import (
     concurrence_closed_form,
     evolve_sector,
 )
-from spinstar.states import partial_trace
+from spinstar.states import density_eig, partial_trace
 
 AB_CUT = (("A",), ("B",))
 
@@ -86,7 +86,7 @@ def test_spin_flip_coefficients_match_r_spectrum():
     yy = np.kron(SIGMA_Y, SIGMA_Y)
     for _ in range(50):
         rho = random_density(rng, TWO_QUBITS)
-        lams = _spin_flip_stack(rho.mat)
+        lams = _spin_flip_stack(*herm_eig(rho.mat))
         r = rho.mat @ yy @ rho.mat.conj() @ yy
         oracle = np.sort(np.sqrt(np.abs(np.linalg.eigvals(r))))[::-1]
         assert np.max(np.abs(lams - oracle)) <= 1e-9
@@ -113,7 +113,7 @@ def test_concurrence_2q_werner_family():
     proj = np.outer(psi_minus, psi_minus.conj())
     for w in (0.0, 1.0 / 3.0, 0.5, 0.8, 1.0):
         rho = DensityMatrix(w * proj + (1 - w) * np.eye(4) / 4.0, TWO_QUBITS)
-        lams = _spin_flip_stack(rho.mat)
+        lams = _spin_flip_stack(*herm_eig(rho.mat))
         expected_lams = sorted([(1 + 3 * w) / 4] + [(1 - w) / 4] * 3, reverse=True)
         assert np.max(np.abs(lams - expected_lams)) <= 1e-12
         assert concurrence_2q(rho) == pytest.approx(max(0.0, (3 * w - 1) / 2), abs=1e-12)
@@ -156,8 +156,9 @@ def test_stacked_concurrence_matches_each_state_bit_for_bit():
     assert np.any((RANK_TOL < smallest) & (smallest < 1e-10))
     single = np.array([concurrence_2q(rho) for rho in states])
     assert np.array_equal(single, [loop_concurrence(rho) for rho in states])
-    assert np.array_equal(concurrence_2q_stack(mats), single)
-    assert np.array_equal(concurrence_2q_stack(mats.reshape(4, -1, 4, 4)), single.reshape(4, -1))
+    assert np.array_equal(concurrence_2q_eig(*density_eig(mats, TWO_QUBITS)), single)
+    by_rows = density_eig(mats.reshape(4, -1, 4, 4), TWO_QUBITS)
+    assert np.array_equal(concurrence_2q_eig(*by_rows), single.reshape(4, -1))
 
 
 def test_concurrence_2q_rejects_wrong_shape():

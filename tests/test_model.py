@@ -2,9 +2,12 @@
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinstar import (
     LARGE_N,
@@ -35,6 +38,7 @@ from spinstar.model import (
     PAIR_DIMS,
     PAIR_ENV_DIMS,
     ZeroDiscordFamily,
+    concurrence_closed_form_stack,
     mi_closed_form,
 )
 from test_acceptance import GRID, PAIR_CUT, WINDOW_7
@@ -301,6 +305,37 @@ class TestClosedForm:
         )
         for t in rng.uniform(0.0, 60.0, size=50):
             assert closed_form_terms(params, float(t)) == per_point_terms(params, float(t))
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.data())
+    def test_stacked_closed_form_matches_the_scalar(self, data):
+        """Over p at an edge, tiny or uniform, special or uniform angles, a
+        finite or LARGE_N bath and grids from t = 0 to omega*t up to 1e6, the
+        stack view stays within 4 eps of the scalar one, zeros included as +0.0."""
+        special = st.sampled_from((0.0, math.pi / 4.0, math.pi / 2.0, math.pi, 2.0 * math.pi))
+        angle = st.one_of(special, st.floats(0.0, 2.0 * math.pi))
+        params = default_params(
+            env_spins=data.draw(st.one_of(st.just(LARGE_N), st.integers(2, 5000))),
+            coupling=data.draw(st.floats(0.1, 3.0)),
+            p=data.draw(st.one_of(st.sampled_from((0.0, 1e-9, 1.0)), st.floats(0.0, 1.0))),
+            alpha=data.draw(angle),
+            beta=data.draw(angle),
+        )
+        last = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 1e6)))
+        times = np.linspace(0.0, last, data.draw(st.integers(1, 60))) / params.omega
+        scalar = np.array([concurrence_closed_form(params, t) for t in times.tolist()])
+        stacked = concurrence_closed_form_stack(params, times)
+        assert np.all(np.abs(stacked - scalar) <= 4.0 * sys.float_info.epsilon)
+        assert not np.signbit(stacked).any()
+
+    @pytest.mark.parametrize("bad", [-0.1, math.inf, math.nan])
+    def test_stacked_closed_form_refuses_a_bad_time_as_the_scalar_does(self, bad):
+        params = default_params()
+        with pytest.raises(ValueError) as scalar:
+            concurrence_closed_form(params, bad)
+        with pytest.raises(ValueError) as stacked:
+            concurrence_closed_form_stack(params, [0.0, 1.0, bad, -5.0])
+        assert str(stacked.value) == str(scalar.value)
 
     def test_first_term_never_wins_at_default_point(self):
         """With all populations equal the geometric-mean penalty dominates the
