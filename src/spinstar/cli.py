@@ -387,7 +387,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     base = _LOG_BASES[args.log_base]
     times = grid / params.omega
     if evolver is None:
-        # per point, as the sector route's other calls
+        # one call per point: spinbench's test_traced_sweep_gives_exact_counts counts them
         c_closed = np.array([concurrence_closed_form(params, t) for t in times.tolist()])
         c_numeric, mi = _sector_columns(params, times, base)
         mi_tol = SWEEP_MI_TOL
