@@ -47,6 +47,7 @@ from .states import (
     PAIR_DIMS,
     DensityMatrix,
     DimsSpec,
+    _LOG_BASES,
     density_eig,
     mutual_information,
     mutual_information_stack,
@@ -93,8 +94,6 @@ KRAUS_CHOI_FLOOR, KRAUS_DEV_TOL = -1e-8, 1e-9
 
 SWEEP_HEADER = "omega_t,c_closed,c_numeric,mi,c_abe,c_inaccessible"
 HIDDEN_HEADER = "omega_t,c_mixture,c_ensemble_avg,c_hidden"
-
-_LOG_BASES = {"2": 2.0, "e": math.e, "10": 10.0}
 
 
 def finite_float(text: str) -> float:

@@ -42,6 +42,7 @@ from .states import (
     DimsSpec,
     PureState,
     _check_base,
+    _spectrum_entropy,
     check_probabilities,
     conjugate_local,
     local_conjugates,
@@ -136,7 +137,8 @@ class SpinStarParams:
 
     @cached_property
     def _closed_form_weights(self) -> tuple[float, float, float, float, float, float]:
-        """The time-independent weights a, b, c, d, e, f of `closed_form_terms`."""
+        """`_x_state`'s time-independent weights: a, b of the second branch's
+        ground and excited pair populations, d, f of the first's, c, e of their coherences."""
         p = self.p
         sin_a, cos_a = math.sin(self.alpha), math.cos(self.alpha)
         sin_b, cos_b = math.sin(self.beta), math.cos(self.beta)
@@ -285,27 +287,49 @@ def _time_failure(t: float) -> ValueError:
     return ValueError(f"time must be finite and non-negative, got {t!r}")
 
 
-def _terms(params: SpinStarParams, t, xp) -> tuple:
-    """`closed_form_terms` at a float t with xp = math, or at each of an array with xp = numpy.
+def _check_times(times: Sequence[float] | np.ndarray) -> np.ndarray:
+    """times as a float array, once each is finite and non-negative; a failure
+    reports the first bad one in row-major order."""
+    times = np.asarray(times, dtype=float)
+    bad = ~((times >= 0.0) & (times < math.inf))
+    if bad.any():
+        raise _time_failure(times.flat[int(np.argmax(bad))].item())
+    return times
 
-    The one copy of the formula: both views make the same operations in the
-    same order, so they can differ only where numpy's elementwise cos, sin and
-    square round otherwise than the math module's.
+
+def _x_state(params: SpinStarParams, t, xp) -> tuple:
+    """Populations p00, p01, p10, p11 and coherences z(00,11), z(01,10) of the pair's X state.
+
+    The one copy of the formula, at a float t with xp = math or at each of an
+    array with xp = numpy: both views make the same operations in the same
+    order, so they differ only where numpy's cos, sin and square round
+    otherwise than the math module's.
     """
     a, b, c, d, e, f = params._closed_form_weights
     angle, angle1 = params.omega * t, params.omega1 * t
     cos_w, sin_w = xp.cos(angle), xp.sin(angle)
     cos_w1, sin_w1 = xp.cos(angle1), xp.sin(angle1)
-    term1 = abs(e * cos_w1 * cos_w) - xp.sqrt((b * cos_w**2 + f * sin_w**2) * (a + d * sin_w1**2))
-    term2 = abs(c * cos_w) - xp.sqrt((b * sin_w**2 + f * cos_w**2) * (d * cos_w1**2))
-    return term1, term2
+    return (
+        a + d * sin_w1**2,
+        d * cos_w1**2,
+        b * sin_w**2 + f * cos_w**2,
+        b * cos_w**2 + f * sin_w**2,
+        c * cos_w,
+        e * cos_w1 * cos_w,
+    )
+
+
+def _terms(params: SpinStarParams, t, xp) -> tuple:
+    """`closed_form_terms`: |z(01,10)| - sqrt(p00 p11) and |z(00,11)| - sqrt(p01 p10)."""
+    p00, p01, p10, p11, z_00_11, z_01_10 = _x_state(params, t, xp)
+    return abs(z_01_10) - xp.sqrt(p11 * p00), abs(z_00_11) - xp.sqrt(p10 * p01)
 
 
 def closed_form_terms(params: SpinStarParams, t: float) -> tuple[float, float]:
     """The two competing terms whose positive part sets the pair concurrence.
 
-    a, b weight the second branch's ground and excited pair populations, d, f
-    the first branch's, and c, e the respective coherences.
+    Each is a coherence of the pair's X state less the geometric mean of the
+    two populations it does not couple (Wootters, PRL 80, 2245 (1998)).
     """
     if not 0.0 <= t < math.inf:
         raise _time_failure(t)
@@ -325,11 +349,7 @@ def concurrence_closed_form_stack(params: SpinStarParams, times: Sequence[float]
     message, for the first one in order.  A value that is not above zero is
     +0.0, as the scalar gives it.
     """
-    times = np.asarray(times, dtype=float)
-    bad = ~((times >= 0.0) & (times < math.inf))
-    if bad.any():
-        raise _time_failure(times.flat[int(np.argmax(bad))].item())
-    best = np.maximum(*_terms(params, times, np))
+    best = np.maximum(*_terms(params, _check_times(times), np))
     return 2.0 * np.where(best > 0.0, best, 0.0)
 
 
@@ -373,45 +393,26 @@ def _block_eigenvalues(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> list[np.n
     return [mean + radius, mean - radius]
 
 
-def _entropy_nats(probs: np.ndarray) -> np.ndarray:
-    """-sum(p ln p) over the last axis, 0 ln 0 = 0; rounding may leave a p just below 0."""
-    kept = np.where(probs > 0.0, probs, 1.0)
-    return -(kept * np.log(kept)).sum(axis=-1)
-
-
 def mi_closed_form(
     params: SpinStarParams, times: Sequence[float] | np.ndarray, base: float = 2
 ) -> np.ndarray:
     """Mutual information I(A:B) of the reduced pair at each time, in closed form.
 
-    The pair stays in X form (Wootters, PRL 80, 2245 (1998)), with the
-    populations and coherences `closed_form_terms` reads: S(AB) is the
-    entropy of its (00, 11) and (01, 10) blocks, and both marginals are
-    diagonal.  numpy's cos and sin may differ from the math module's in the
-    last bit, so this is an independent check of `mutual_information` on
-    `evolve_sector`, not a copy of its bits.
+    S(AB) is the entropy of the (00, 11) and (01, 10) blocks of `_x_state`,
+    and both marginals are diagonal.  numpy's cos and sin may differ from the
+    math module's in the last bit, so this is an independent check of
+    `mutual_information` on `evolve_sector`, not a copy of its bits.
     """
     base = _check_base(base)
-    t = np.asarray(times, dtype=float)
-    bad = ~((0.0 <= t) & (t < math.inf))
-    if bad.any():
-        raise ValueError(f"time must be finite and non-negative, got {float(t[bad][0])!r}")
-    a, b, c, d, e, f = params._closed_form_weights
-    cos_w, sin_w = np.cos(params.omega * t), np.sin(params.omega * t)
-    cos_w1, sin_w1 = np.cos(params.omega1 * t), np.sin(params.omega1 * t)
-    # populations of |00>, |01>, |10> and |11>
-    p00 = a + d * sin_w1**2
-    p01 = d * cos_w1**2
-    p10 = b * sin_w**2 + f * cos_w**2
-    p11 = b * cos_w**2 + f * sin_w**2
-    pair = np.stack(
-        _block_eigenvalues(p00, p11, c * cos_w) + _block_eigenvalues(p01, p10, e * cos_w1 * cos_w),
-        axis=-1,
-    )
-    marginal_a = np.stack([p00 + p01, p10 + p11], axis=-1)
-    marginal_b = np.stack([p00 + p10, p01 + p11], axis=-1)
-    nats = _entropy_nats(marginal_a) + _entropy_nats(marginal_b) - _entropy_nats(pair)
-    return nats / math.log(base)
+    p00, p01, p10, p11, z_00_11, z_01_10 = _x_state(params, _check_times(times), np)
+    zero = np.zeros_like(p00)
+    spectra = [  # of A, B and AB at each time; a zero drops out of the entropy
+        [p00 + p01, p10 + p11, zero, zero],
+        [p00 + p10, p01 + p11, zero, zero],
+        _block_eigenvalues(p00, p11, z_00_11) + _block_eigenvalues(p01, p10, z_01_10),
+    ]
+    nats = _spectrum_entropy(np.moveaxis(np.array(spectra), (0, 1), (-2, -1)), math.e)
+    return (nats[..., 0] + nats[..., 1] - nats[..., 2]) / math.log(base)
 
 
 def sector_unitary(params: SpinStarParams, t: float, levels: int = ENV_LEVELS) -> np.ndarray:
@@ -558,10 +559,7 @@ class BruteForceEvolver:
         the rest's Gram matrix (B down) and c (e G^T + h)^dagger between them.
         The matrices are not validated, and have the same bits in any stack.
         """
-        times = np.asarray(times, dtype=float)
-        negative = times < 0.0
-        if negative.any():
-            raise ValueError(f"time must be non-negative, got {float(times[negative][0])!r}")
+        times = _check_times(times)
         size, width = times.size, self.frequencies.size
         angles = np.multiply.outer(times, self.frequencies)[:, None, None, None]
         cos, sin = np.cos(angles), np.sin(angles)

@@ -152,18 +152,17 @@ def density_spectra(
     return vals
 
 
-def density_eig(
-    mats: np.ndarray, dims: DimsSpec, *, trace_tol: float = 1e-10, eig_floor: float = 1e-9
-) -> tuple[np.ndarray, np.ndarray]:
-    """`density_spectra`'s checks, returning each matrix's eigendecomposition.
+def density_eig(mats: np.ndarray, dims: DimsSpec) -> tuple[np.ndarray, np.ndarray]:
+    """`density_spectra`'s checks at its default tolerances, returning each
+    matrix's eigendecomposition.
 
     One eigh of the symmetrized stack gives (vals, vecs): eigenvalues
     ascending and eigenvectors as columns, as `linalg.herm_eig` returns them
     for the same matrices.  Its eigenvalues can differ from eigvalsh's in the
     last bit.
     """
-    vals, vecs = np.linalg.eigh(_density_hermitian_part(mats, dims, trace_tol))
-    _check_positive(vals, eig_floor)
+    vals, vecs = np.linalg.eigh(_density_hermitian_part(mats, dims, 1e-10))
+    _check_positive(vals, 1e-9)
     return vals, vecs
 
 
@@ -331,12 +330,12 @@ def _trace_plan(
     return (..., *range(n), *ket), (..., *out), sub
 
 
-#: the accepted logarithm bases of the entropy functionals
-_LOG_BASES = (2, 10, math.e)
+#: the accepted logarithm bases of the entropy functionals, by their CLI names
+_LOG_BASES = {"2": 2.0, "e": math.e, "10": 10.0}
 
 
 def _check_base(base: float) -> float:
-    if base not in _LOG_BASES:
+    if base not in _LOG_BASES.values():
         raise ValueError(f"log base must be 2, e, or 10, got {base!r}")
     return float(base)
 

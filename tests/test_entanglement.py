@@ -119,6 +119,29 @@ def test_concurrence_2q_werner_family():
         assert concurrence_2q(rho) == pytest.approx(max(0.0, (3 * w - 1) / 2), abs=1e-12)
 
 
+def test_concurrence_2q_is_the_x_state_formula_on_random_x_states():
+    """2 max(0, |z(01,10)| - sqrt(p00 p11), |z(00,11)| - sqrt(p01 p10)) on X
+    states with complex coherences, some at their bound and some with a
+    population at zero (Wootters, PRL 80, 2245 (1998))."""
+    rng = np.random.default_rng(23)
+    for k in range(500):
+        pops = rng.dirichlet(np.ones(4))
+        if k % 5 == 0:
+            pops[rng.integers(4)] = 0.0
+            pops /= pops.sum()
+        mat = np.diag(pops).astype(complex)
+        for i, j in ((0, 3), (1, 2)):
+            reach = 1.0 if rng.random() < 0.2 else rng.random()
+            z = reach * math.sqrt(pops[i] * pops[j]) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+            mat[i, j], mat[j, i] = z, np.conj(z)
+        expected = 2.0 * max(
+            0.0,
+            abs(mat[1, 2]) - math.sqrt(pops[0] * pops[3]),
+            abs(mat[0, 3]) - math.sqrt(pops[1] * pops[2]),
+        )
+        assert abs(concurrence_2q(DensityMatrix(mat, TWO_QUBITS)) - expected) <= 1e-12
+
+
 def rank_deficient_states(rng):
     """Two-qubit states of rank 1 to 4, and states whose smallest eigenvalue
     sits just below, at or just above RANK_TOL."""
