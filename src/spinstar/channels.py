@@ -33,7 +33,6 @@ from .states import (
     DensityMatrix,
     check_probabilities,
     check_two_qubit,
-    conjugate_local,
     density_spectra,
     local_conjugates,
     local_lift,
@@ -225,11 +224,9 @@ def discord_zero_check(rho: DensityMatrix, flags: Sequence[np.ndarray]) -> float
         raise ValueError(f"need {env_dim} flag vectors of dimension {env_dim}")
     check_orthonormal(flag_vecs, "bath flags")
     sys_dim = rho.dim // env_dim
-    dephased = np.zeros_like(rho.mat)
-    for f in flag_vecs:
-        pinned = np.kron(identity(sys_dim), np.outer(f, f.conj()))
-        dephased += pinned @ rho.mat @ pinned
-    return max_abs(rho.mat - dephased)
+    # (s, s') blocks on the bath factor, each dephased by every flag projector
+    blocks = rho.mat.reshape(sys_dim, env_dim, sys_dim, env_dim).swapaxes(1, 2)
+    return max_abs(blocks - ordered_sum(pin @ blocks @ pin for pin in projectors(flag_vecs)))
 
 
 def _check_unitaries(unitaries: np.ndarray) -> None:
@@ -262,8 +259,8 @@ class RandomUnitaryChannel:
 def apply_random_unitary(channel: RandomUnitaryChannel, rho: DensityMatrix) -> DensityMatrix:
     """Mix the branch unitaries over the second factor of a two-qubit state."""
     check_two_qubit(rho, "state")
-    branches = zip(channel.probabilities, channel.unitaries)
-    out = ordered_sum((p * conjugate_local(rho, u).mat for p, u in branches), start=0)
+    branches = local_conjugates(rho.mat, np.stack(channel.unitaries))
+    out = ordered_sum((p * m for p, m in zip(channel.probabilities, branches)), start=0)
     return DensityMatrix(out, rho.dims)
 
 
@@ -280,25 +277,27 @@ class RucSample:
 def ruc_columns(rho0: DensityMatrix, t_grid: Sequence[float]) -> tuple[np.ndarray, ...]:
     """Phase-dial evolution of a two-qubit state as t, mixture, ensemble and hidden columns.
 
-    Each grid value is a dial angle of `_phase_dial`.  The grid runs in
-    stacked batches of PAIR_BATCH points, each checked as a whole: unitarity
-    of the branches, validity of every member and mixture state, convexity,
-    and drift.  Each branch evolves by a local unitary, so an ensemble-averaged
+    Each grid value is a dial angle of `_phase_dial`, and a non-finite one is
+    refused before any is evaluated.  The grid runs in stacked batches of
+    PAIR_BATCH points, each checked as a whole: unitarity of the branches,
+    validity of every member and mixture state, convexity, and drift.  Each branch evolves by a local unitary, so an ensemble-averaged
     concurrence more than DRIFT_TOL off the initial one is numerical corruption
     and raises; the first failing grid point is reported.  Each value has the
     bits of the one-angle route, whatever the batch.
     """
     check_two_qubit(rho0, "initial state")
     c0 = concurrence_2q(rho0)
-    weights = check_probabilities(PHASE_DIAL_WEIGHTS, "unitary branch")
     times = np.asarray(t_grid, dtype=float)
+    finite = np.isfinite(times)
+    if not finite.all():
+        raise ValueError(f"dial angle must be finite, got {times[np.argmin(finite)].item()!r}")
     columns = np.empty((3, len(times)))
     for start in range(0, len(times), PAIR_BATCH):
         t = times[start : start + PAIR_BATCH]
         unitaries = _phase_dial(t)
         _check_unitaries(unitaries)
         members = local_conjugates(rho0.mat, unitaries)
-        c_ens, c_mix, hidden = hidden_entanglement_stack(weights, members, rho0.dims)
+        c_ens, c_mix, hidden = hidden_entanglement_stack(PHASE_DIAL_WEIGHTS, members)
         convex_bad = ~(hidden >= -CONVEXITY_TOL)
         bad = convex_bad | ~(np.abs(c_ens - c0) <= DRIFT_TOL)
         if bad.any():

@@ -46,7 +46,6 @@ from .states import (
     PAIR_BATCH,
     PAIR_DIMS,
     DensityMatrix,
-    DimsSpec,
     _LOG_BASES,
     density_eig,
     mutual_information,
@@ -463,8 +462,7 @@ def _markov_scenario(name: str, params: SpinStarParams) -> tuple[DensityMatrix, 
         pair = partial_trace(rho0, rho0.dims.labels[:2])
         env = np.zeros((4, 4), dtype=complex)
         env[0, 0] = 1.0
-        mat = np.kron(pair.mat, env)
-        return DensityMatrix(mat, DimsSpec(("A", 2), ("B", 2), ("E", 4))), True
+        return DensityMatrix(np.kron(pair.mat, env), rho0.dims), True
     if name == "custom-markov":
         plus = np.full((2, 2), 0.5, dtype=complex)
         blocks = (

@@ -18,8 +18,8 @@ import numpy as np
 from .linalg import SIGMA_Y, dagger, herm_eig, hermitian_part, ordered_sum
 from .states import (
     Cut,
+    PAIR_DIMS,
     DensityMatrix,
-    DimsSpec,
     PureState,
     check_probabilities,
     check_two_qubit,
@@ -188,23 +188,23 @@ def convexity_failure(hidden: float) -> ArithmeticError:
 
 
 def hidden_entanglement_stack(
-    weights: Sequence[float], mats: np.ndarray, dims: DimsSpec
+    weights: Sequence[float], mats: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ensemble-averaged concurrence, mixture concurrence and their gap at each point.
 
-    mats is a (T, K, 4, 4) stack of two-qubit density matrices over dims, K
-    ensemble members at each of T points, mixed with the same K checked
-    weights everywhere.  Every member, then every mixture, is validated by
+    mats is a (T, K, 4, 4) stack of two-qubit density matrices, K ensemble
+    members at each of T points, mixed with the same K checked weights
+    everywhere.  Every member, then every mixture, is validated by
     `density_eig`, with a failure reported for the first offending matrix,
     and its concurrence comes from the eigendecomposition that validated it.
     The ensemble average is the correctly rounded weighted sum, and each
     mixture is summed in member order.  The caller checks convexity, so that
     it can order that check among its own.
     """
-    terms = concurrence_2q_eig(*density_eig(mats, dims)) * np.asarray(weights)
+    terms = concurrence_2q_eig(*density_eig(mats, PAIR_DIMS)) * np.asarray(weights)
     c_ens = np.array([math.fsum(row) for row in terms.tolist()])
     mixture = ordered_sum((w * mats[:, k] for k, w in enumerate(weights)), start=0)
-    c_mix = concurrence_2q_eig(*density_eig(mixture, dims))
+    c_mix = concurrence_2q_eig(*density_eig(mixture, PAIR_DIMS))
     return c_ens, c_mix, c_ens - c_mix
 
 
@@ -226,7 +226,7 @@ def hidden_entanglement(members: Sequence[EnsembleMember]) -> tuple[float, float
         check_two_qubit(m.state, "state")
     mats = np.stack([m.state.mat for m in members])[None]
     c_ens, c_mix, hidden = (
-        float(v[0]) for v in hidden_entanglement_stack(weights, mats, members[0].state.dims)
+        float(v[0]) for v in hidden_entanglement_stack(weights, mats)
     )
     if not hidden >= -CONVEXITY_TOL:
         raise convexity_failure(hidden)

@@ -421,10 +421,13 @@ def sector_unitary(params: SpinStarParams, t: float, levels: int = ENV_LEVELS) -
     Each pair (|1_B, n>, |0_B, n+1>) rotates through angle Omega_n * t with
     the usual -i sin off-diagonal phase; |0_B, 0> is stationary.  The top
     rung |1_B, levels-1> has no partner inside the truncation and is left
-    inert, which is exact whenever that state is unpopulated.
+    inert, which is exact whenever that state is unpopulated.  A time that
+    is not finite and non-negative is refused with the closed forms' message.
     """
     if levels < 2:
         raise ValueError(f"need at least two bath levels, got {levels}")
+    if not 0.0 <= t < math.inf:
+        raise _time_failure(t)
     dim = 2 * levels
     u = identity(dim)
     for n, frequency in enumerate(_rung_frequencies(params, levels)):

@@ -9,6 +9,7 @@ original order; there is no implicit reordering.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
@@ -77,7 +78,7 @@ class DimsSpec:
     def __init__(self, *factors: tuple[str, int]):
         if not factors:
             raise ValueError("at least one tensor factor is required")
-        labels, dims = zip(*((str(lab), int(dim)) for lab, dim in factors))
+        labels, dims = zip(*((str(lab), operator.index(dim)) for lab, dim in factors))
         for lab, dim in zip(labels, dims):
             if dim < 1:
                 raise ValueError(f"factor {lab!r} has non-positive dimension {dim}")
@@ -415,21 +416,20 @@ def mutual_information_stack(mats: np.ndarray, spectra: np.ndarray, base: float 
     return values
 
 
-def conditional_mutual_information(rho: DensityMatrix, base: float = 2) -> float:
-    """I(X:Z|Y) = S(XY) + S(YZ) - S(Y) - S(XYZ) for a three-factor state.
+def conditional_mutual_information(rho: DensityMatrix) -> float:
+    """I(X:Z|Y) = S(XY) + S(YZ) - S(Y) - S(XYZ) in bits for a three-factor state.
 
     The middle factor in the stored order is the conditioning system.  Strong
     subadditivity makes the result non-negative up to rounding.
     """
-    base = _check_base(base)
     if len(rho.dims) != 3:
         raise ValueError(f"need exactly three factors, got {list(rho.dims.labels)}")
     first, mid, last = rho.dims.labels
     value = (
-        von_neumann_entropy(partial_trace(rho, (first, mid)), base)
-        + von_neumann_entropy(partial_trace(rho, (mid, last)), base)
-        - von_neumann_entropy(partial_trace(rho, (mid,)), base)
-        - von_neumann_entropy(rho, base)
+        von_neumann_entropy(partial_trace(rho, (first, mid)))
+        + von_neumann_entropy(partial_trace(rho, (mid, last)))
+        - von_neumann_entropy(partial_trace(rho, (mid,)))
+        - von_neumann_entropy(rho)
     )
     if value < -1e-8:
         raise ArithmeticError(

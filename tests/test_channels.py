@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ from spinstar.channels import (
     kraus_operators,
     ruc_columns,
 )
-from spinstar.linalg import dagger, haar_unitary, identity, max_abs
+from spinstar.linalg import dagger, haar_unitary, identity, max_abs, ordered_sum
 from spinstar.model import ENV_LEVELS, LARGE_N, sector_unitaries, sector_unitary
 from spinstar.states import PAIR_BATCH, conjugate_local
 
@@ -203,6 +204,18 @@ class TestZeroDiscordFamily:
 
 
 class TestExtractKraus:
+    @pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan])
+    def test_refuses_a_bad_time_as_the_closed_forms_do(self, bad):
+        """A bad time is refused before any propagator is built, so none warns."""
+        family, params = default_family()
+        message = f"^time must be finite and non-negative, got {bad!r}$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                extract_kraus(family, params, bad)
+            with pytest.raises(ValueError, match=message):
+                kraus_audit(family, params, [0.5, bad])
+
     def test_member_count(self):
         family, params = default_family()
         channel = extract_kraus(family, params, 0.9)
@@ -404,6 +417,44 @@ class TestKrausChannel:
             assert np.linalg.eigvalsh(choi)[0] >= -1e-8
 
 
+def loop_discord_zero_check(rho, flags):
+    """`discord_zero_check` as a loop of full-size np.kron projectors, one per flag."""
+    sys_dim = rho.dim // rho.dims.dims[-1]
+    dephased = np.zeros_like(rho.mat)
+    for f in flags:
+        pinned = np.kron(identity(sys_dim), np.outer(f, f.conj()))
+        dephased += pinned @ rho.mat @ pinned
+    return max_abs(rho.mat - dephased)
+
+
+def loop_random_unitary(channel, rho):
+    """`apply_random_unitary` as a mixture of validated per-branch `conjugate_local` states."""
+    branches = zip(channel.probabilities, channel.unitaries)
+    return ordered_sum((p * conjugate_local(rho, u).mat for p, u in branches), start=0)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 16), st.booleans())
+def test_discord_check_matches_the_kron_loop(seed, env_dim, rank, haar):
+    """Random (A, B, E_d) states of any rank, dephased in the identity or a
+    Haar flag basis; the blocks are summed in another order than the loop's."""
+    rng = np.random.default_rng(seed)
+    rho = random_density(rng, (("A", 2), ("B", 2), ("E", env_dim)), min(rank, 4 * env_dim))
+    flags = haar_unitary(env_dim, rng) if haar else identity(env_dim)
+    assert abs(discord_zero_check(rho, flags) - loop_discord_zero_check(rho, flags)) <= 1e-15
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.one_of(st.sampled_from((0.0, 1e-9, 1.0)), st.floats(0.0, 1.0)),
+    st.one_of(st.sampled_from(SPECIAL_ANGLES), st.floats(0.0, 2.0 * math.pi)),
+    st.one_of(st.sampled_from(SPECIAL_ANGLES), st.floats(0.0, 2.0 * math.pi)),
+)
+def test_initial_state_has_exactly_no_discord_on_random_draws(p, alpha, beta):
+    rho = build_initial_state(SpinStarParams(p=p, alpha=alpha, beta=beta))
+    assert discord_zero_check(rho, identity(4)) == 0.0
+
+
 class TestDiscordZeroCheck:
     def test_initial_state_has_no_discord_in_the_flag_basis(self):
         rho = build_initial_state(SpinStarParams())
@@ -456,6 +507,18 @@ class TestRandomUnitaryChannel:
         out = apply_random_unitary(channel, rho)
         assert concurrence_2q(out) == pytest.approx(0.0, abs=1e-12)
 
+    @settings(deadline=None, max_examples=300)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 4))
+    def test_apply_matches_the_branch_loop_bit_for_bit(self, seed, rank, branches):
+        """Rank 1-4 pair states under 1-4 Haar branches with random weights."""
+        rng = np.random.default_rng(seed)
+        rho = random_density(rng, TWO_QUBITS, rank)
+        weights = rng.dirichlet(np.ones(branches))
+        channel = RandomUnitaryChannel([(w, haar_unitary(2, rng)) for w in weights])
+        out = apply_random_unitary(channel, rho)
+        assert out.mat.tobytes() == loop_random_unitary(channel, rho).tobytes()
+        assert out.dims == rho.dims
+
     def test_apply_rejects_wrong_dims(self):
         channel = RandomUnitaryChannel([(1.0, identity(2))])
         rho = DensityMatrix(np.eye(2) / 2.0, DimsSpec(("B", 2)))
@@ -477,6 +540,17 @@ class TestRucTrajectory:
             assert sample.hidden == pytest.approx(
                 1.0 - abs(math.cos(sample.t)), abs=1e-12
             )
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_refuses_a_non_finite_angle(self, bad):
+        """A non-finite angle is refused before any dial is built, so none warns;
+        a negative angle is a phase and runs."""
+        rho = density_from_vec(bell_pair(), TWO_QUBITS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^dial angle must be finite, got {bad!r}$"):
+                ruc_columns(rho, [0.0, -1.0, bad, 1.0])
+            assert ruc_columns(rho, [-1.0])[1][0] == pytest.approx(math.cos(1.0), abs=1e-12)
 
     def test_starts_with_nothing_hidden_and_revives_fully(self):
         rho = density_from_vec(bell_pair(), TWO_QUBITS)

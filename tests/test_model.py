@@ -471,6 +471,20 @@ class TestSectorUnitary:
         with pytest.raises(ValueError, match="two bath levels"):
             sector_unitary(default_params(), 1.0, levels=1)
 
+    @pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan])
+    def test_refuses_a_bad_time_as_the_closed_forms_do(self, bad):
+        """A bad time is refused before any cos is taken, so none warns."""
+        params = default_params(env_spins=4)
+        with pytest.raises(ValueError) as closed:
+            concurrence_closed_form(params, bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as propagator:
+                sector_unitary(params, bad)
+            with pytest.raises(ValueError) as evolved:
+                evolve_sector(build_initial_state(params), bad, params)
+        assert str(propagator.value) == str(evolved.value) == str(closed.value)
+
 
 class TestEvolveSector:
     def test_time_zero_is_identity(self):

@@ -67,6 +67,18 @@ def test_dims_spec_rejects_duplicates_and_bad_dims():
         DimsSpec(("A", 2)).position("Z")
 
 
+def test_dims_spec_takes_integer_dimensions_only():
+    """A float dimension is refused rather than truncated; a numpy integer is
+    stored as a Python int, so equal specs stay equal."""
+    for bad in (2.5, 2.0, np.float64(2.0)):
+        with pytest.raises(TypeError):
+            DimsSpec(("A", 2), ("B", bad))
+    dims = DimsSpec(("A", np.int64(2)), ("B", np.intp(3)))
+    assert dims == DimsSpec(("A", 2), ("B", 3))
+    assert all(type(d) is int for d in dims.dims)
+    assert type(dims.total_dim) is int
+
+
 def test_density_matrix_accepts_bell_projector():
     rho = density_from_vec(bell_pair(), TWO_QUBITS)
     assert rho.dim == 4
@@ -447,7 +459,7 @@ def test_cmi_flagged_mixture_is_one_bit():
     # equal-weight branches with orthogonal flags leave one bit of A:E
     # correlation that conditioning on B cannot remove
     rho = build_initial_state(SpinStarParams())
-    assert conditional_mutual_information(rho, base=2) == pytest.approx(1.0, abs=1e-9)
+    assert conditional_mutual_information(rho) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_cmi_requires_three_factors():
