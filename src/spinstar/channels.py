@@ -280,9 +280,10 @@ def ruc_columns(rho0: DensityMatrix, t_grid: Sequence[float]) -> tuple[np.ndarra
     Each grid value is a dial angle of `_phase_dial`, and a non-finite one is
     refused before any is evaluated.  The grid runs in stacked batches of
     PAIR_BATCH points, each checked as a whole: unitarity of the branches,
-    validity of every member and mixture state, convexity, and drift.  Each branch evolves by a local unitary, so an ensemble-averaged
-    concurrence more than DRIFT_TOL off the initial one is numerical corruption
-    and raises; the first failing grid point is reported.  Each value has the
+    validity of every member and mixture state, convexity, and drift.  Each
+    branch evolves by a local unitary, so an ensemble-averaged concurrence
+    more than DRIFT_TOL off the initial one is numerical corruption and
+    raises; the first failing grid point is reported.  Each value has the
     bits of the one-angle route, whatever the batch.
     """
     check_two_qubit(rho0, "initial state")

@@ -225,9 +225,7 @@ def hidden_entanglement(members: Sequence[EnsembleMember]) -> tuple[float, float
             )
         check_two_qubit(m.state, "state")
     mats = np.stack([m.state.mat for m in members])[None]
-    c_ens, c_mix, hidden = (
-        float(v[0]) for v in hidden_entanglement_stack(weights, mats)
-    )
+    c_ens, c_mix, hidden = (float(v[0]) for v in hidden_entanglement_stack(weights, mats))
     if not hidden >= -CONVEXITY_TOL:
         raise convexity_failure(hidden)
     return c_ens, c_mix, hidden
