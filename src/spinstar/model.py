@@ -44,9 +44,7 @@ from .states import (
     _check_base,
     _spectrum_entropy,
     check_probabilities,
-    conjugate_local,
-    local_conjugates,
-    partial_trace_stack,
+    local_pairs,
 )
 
 __all__ = [
@@ -485,21 +483,17 @@ def evolve_sector(state: DensityMatrix, t: float, params: SpinStarParams) -> Den
 
     States with population on the inert top bath rung are rejected.
     """
-    return conjugate_local(state, sector_unitary(params, t, _sector_levels(state)))
+    return DensityMatrix(*local_pairs(state, sector_unitary(params, t, _sector_levels(state))))
 
 
 def evolve_sector_stack(state: DensityMatrix, unitaries: np.ndarray) -> np.ndarray:
-    """(T, 4, 4) stack of the `evolve_sector` pairs under T sector propagators.
+    """The unvalidated (..., 4, 4) `evolve_sector` pairs under a stack of sector propagators.
 
-    unitaries is a `sector_unitaries` stack on the state's bath ladder.  Each
-    pair has the bits `evolve_sector` gives at its time, and the stack is not
-    validated; `density_spectra` checks a stack.
+    unitaries is a (..., 2 levels, 2 levels) stack on the state's bath ladder, as
+    `sector_unitaries` gives.  Each pair has the bits `evolve_sector` gives at its time.
     """
-    levels = _sector_levels(state)
-    if unitaries.shape[1:] != (2 * levels, 2 * levels):
-        raise ValueError(f"need {2 * levels}x{2 * levels} propagators, got {unitaries.shape}")
-    mats = local_conjugates(state.mat, unitaries)
-    return partial_trace_stack(mats, state.dims, state.dims.labels[:2])[0]
+    _sector_levels(state)
+    return local_pairs(state, unitaries)[0]
 
 
 class BruteForceEvolver:

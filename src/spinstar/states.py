@@ -41,10 +41,10 @@ NORM_TOL = 1e-12
 #: uses a handful, so this only bounds a caller that makes many factorizations
 _PLAN_CACHE_SIZE = 64
 
-#: grid points per stacked batch of pair states, in `channels.ruc_trajectory`
-#: and `sweep --oracle`: a batch's pair stacks and their checks stay near 1 MB
-#: whatever the grid length.  256 to 2048 points per batch ran equally fast,
-#: and larger batches only raised the peak resident set
+#: grid points or trials per stacked batch of pair states, in `channels.ruc_columns`,
+#: `sweep --oracle` and `markov.verify_localized_reduction`: a batch's pair stacks and
+#: checks stay near 1 MB whatever the length.  256 to 2048 points per batch ran equally
+#: fast, and larger batches only raised the peak resident set
 PAIR_BATCH = 256
 
 Cut = tuple[Iterable[str], Iterable[str]]
@@ -279,18 +279,19 @@ def local_conjugates(mat: np.ndarray, u: np.ndarray) -> np.ndarray:
     return full @ mat @ dagger(full)
 
 
-def conjugate_local(rho: DensityMatrix, u: np.ndarray) -> DensityMatrix:
-    """The (A, B) pair of (I_A x u) rho (I_A x u)^dagger.
+def local_pairs(rho: DensityMatrix, u: np.ndarray) -> tuple[np.ndarray, DimsSpec]:
+    """The (A, B) pair of (I_A x u) rho (I_A x u)^dagger, for one h x h u or a (..., h, h) stack.
 
     rho starts with qubits A and B; u acts on B and all later factors, which are traced out.
+    Returns the unvalidated pair matrices and their factors, as `partial_trace_stack` does.
     """
     if rho.dims.dims[:2] != (2, 2):
         raise ValueError(f"need qubit A and qubit B as the first two factors, got {rho.dims!r}")
     half = rho.dim // 2
-    if np.shape(u) != (half, half):
-        raise ValueError(f"unitary must be {half}x{half}, got {np.shape(u)}")
-    mat = local_conjugates(rho.mat, np.asarray(u))
-    return DensityMatrix(*partial_trace_stack(mat, rho.dims, rho.dims.labels[:2]))
+    u = np.asarray(u)
+    if u.shape[-2:] != (half, half):
+        raise ValueError(f"unitary must be {half}x{half}, got {u.shape}")
+    return partial_trace_stack(local_conjugates(rho.mat, u), rho.dims, rho.dims.labels[:2])
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:

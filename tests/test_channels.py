@@ -44,7 +44,7 @@ from spinstar.channels import (
 )
 from spinstar.linalg import dagger, haar_unitary, identity, max_abs, ordered_sum
 from spinstar.model import ENV_LEVELS, LARGE_N, sector_unitaries, sector_unitary
-from spinstar.states import PAIR_BATCH, conjugate_local
+from spinstar.states import PAIR_BATCH, local_pairs
 
 #: special values of each branch angle in the random draws
 SPECIAL_ANGLES = (0.0, math.pi / 4, math.pi / 2, math.pi)
@@ -428,9 +428,9 @@ def loop_discord_zero_check(rho, flags):
 
 
 def loop_random_unitary(channel, rho):
-    """`apply_random_unitary` as a mixture of validated per-branch `conjugate_local` states."""
+    """`apply_random_unitary` as a mixture of validated per-branch `local_pairs` states."""
     branches = zip(channel.probabilities, channel.unitaries)
-    return ordered_sum((p * conjugate_local(rho, u).mat for p, u in branches), start=0)
+    return ordered_sum((p * DensityMatrix(*local_pairs(rho, u)).mat for p, u in branches), start=0)
 
 
 @settings(deadline=None, max_examples=300)
@@ -561,7 +561,7 @@ class TestRucTrajectory:
     @pytest.mark.parametrize("state", ["bell", "rank-2"])
     def test_batches_match_the_single_point_route(self, state):
         """Across a batch boundary, each sample equals `hidden_entanglement` of
-        the `conjugate_local` branches at its own dial angle, bit for bit."""
+        the validated `local_pairs` branches at its own dial angle, bit for bit."""
         if state == "bell":
             rho = density_from_vec(bell_pair(), TWO_QUBITS)
         else:
@@ -573,7 +573,7 @@ class TestRucTrajectory:
         assert len(samples) == len(grid)
         for t, sample in zip(grid, samples):
             members = [
-                EnsembleMember(p, conjugate_local(rho, u))
+                EnsembleMember(p, DensityMatrix(*local_pairs(rho, u)))
                 for p, u in zip(PHASE_DIAL_WEIGHTS, _phase_dial(np.float64(t)))
             ]
             assert sample.t == t

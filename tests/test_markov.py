@@ -26,8 +26,8 @@ from spinstar import (
     verify_localized_reduction,
 )
 from spinstar.linalg import haar_unitary, identity
-from spinstar.markov import CMI_TOL
-from spinstar.states import conjugate_local
+from spinstar.markov import CMI_TOL, EXCESS_TOL, ReductionReport
+from spinstar.states import PAIR_BATCH, local_pairs
 
 # conditioning on the bath of the single-excitation state leaves
 # log2(3) - 2/3 of correlation between the qubits, so it is not Markov
@@ -55,6 +55,46 @@ def two_flag_spec(rng):
         ),
     )
     return MarkovBlockSpec(2, 2, blocks)
+
+
+def loop_localized_reduction(spec, trials, seed):
+    """`verify_localized_reduction` as a loop of one validated pair state per trial."""
+    state = make_markov_state(spec)
+    c0 = concurrence_2q(partial_trace(state, state.dims.labels[:2]))
+    max_c = c0
+    max_excess = float("-inf")
+    violations = 0
+    for child in np.random.SeedSequence(seed).spawn(trials):
+        rng = np.random.Generator(np.random.Philox(child))
+        u = haar_unitary(2 * spec.dim_e, rng)
+        c = concurrence_2q(DensityMatrix(*local_pairs(state, u)))
+        excess = c - c0
+        max_c = max(max_c, c)
+        max_excess = max(max_excess, excess)
+        if excess > EXCESS_TOL:
+            violations += 1
+    return ReductionReport(trials, seed, c0, max_c, max_excess, violations)
+
+
+@st.composite
+def reduction_specs(draw):
+    """One- and two-block specs with qubits A and B, baths of 1 to 3 levels and
+    left block states of rank 1 to 4 (at most their dimension)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim_e = draw(st.integers(1, 3))
+    splits = draw(st.sampled_from(([(2, 1)], [(1, 2)], [(1, 1), (1, 1)])))
+    rank = draw(st.integers(1, 4))
+    w = draw(st.floats(0.0, 1.0))
+    weights = [1.0] if len(splits) == 1 else [w, 1.0 - w]
+    blocks = [
+        MarkovBlock(
+            weight,
+            random_density(rng, DimsSpec(("A", 2), ("L", dl)), rank=min(rank, 2 * dl)).mat,
+            random_density(rng, DimsSpec(("R", dr), ("E", dim_e))).mat,
+        )
+        for weight, (dl, dr) in zip(weights, splits)
+    ]
+    return MarkovBlockSpec(2, dim_e, blocks)
 
 
 class TestMarkovBlockSpec:
@@ -240,13 +280,16 @@ class TestWitnesses:
                 assert conditional_mutual_information(rho) > CMI_TOL
 
 
+def env_pair(rho, u):
+    """The validated (A, B) pair after the unitary u on (B, E)."""
+    return DensityMatrix(*local_pairs(rho, u))
+
+
 class TestEnvUnitaryConcurrence:
     def test_identity_leaves_the_pair_alone(self):
         rho = build_initial_state(SpinStarParams())
         baseline = concurrence_2q(partial_trace(rho, ("A", "B")))
-        assert concurrence_2q(conjugate_local(rho, identity(8))) == pytest.approx(
-            baseline, abs=1e-12
-        )
+        assert concurrence_2q(env_pair(rho, identity(8))) == pytest.approx(baseline, abs=1e-12)
 
     def test_flagged_mixture_entanglement_can_be_pumped(self):
         """The flagged mixture is not Markov: the physical propagator on the
@@ -254,16 +297,16 @@ class TestEnvUnitaryConcurrence:
         params = SpinStarParams()
         rho = build_initial_state(params)
         u = sector_unitary(params, 3.332162203618774)
-        assert concurrence_2q(conjugate_local(rho, u)) > 0.2
+        assert concurrence_2q(env_pair(rho, u)) > 0.2
 
     def test_validation(self):
         rho = build_initial_state(SpinStarParams())
         with pytest.raises(ValueError, match="unitary must be"):
-            concurrence_2q(conjugate_local(rho, identity(4)))
+            concurrence_2q(env_pair(rho, identity(4)))
         rng = np.random.default_rng(39)
         bad = random_density(rng, DimsSpec(("A", 2), ("B", 3), ("E", 2)))
         with pytest.raises(ValueError, match="qubit"):
-            concurrence_2q(conjugate_local(bad, identity(6)))
+            concurrence_2q(env_pair(bad, identity(6)))
 
 
 class TestLocalizedReduction:
@@ -283,11 +326,28 @@ class TestLocalizedReduction:
         second = verify_localized_reduction(spec, trials=20, seed=7)
         assert first == second
 
+    @settings(deadline=None, max_examples=60)
+    @given(
+        reduction_specs(),
+        st.sampled_from((1, PAIR_BATCH - 1, PAIR_BATCH, PAIR_BATCH + 1, 2 * PAIR_BATCH + 3)),
+        st.integers(0, 2**64 - 1),
+    )
+    def test_stacks_report_what_the_trial_loop_reports(self, spec, trials, seed):
+        """The stacked check equals the per-trial loop, across batch seams."""
+        assert verify_localized_reduction(spec, trials, seed) == loop_localized_reduction(
+            spec, trials, seed
+        )
+
     def test_validation(self):
         rng = np.random.default_rng(42)
         spec = two_flag_spec(rng)
         with pytest.raises(ValueError, match="at least one trial"):
             verify_localized_reduction(spec, trials=0)
+        for bad in ({"trials": 2.5}, {"trials": True}, {"seed": 2.5}, {"seed": None}):
+            with pytest.raises(TypeError, match="^trials and seed must be integers, got "):
+                verify_localized_reduction(spec, **bad)
+        report = verify_localized_reduction(spec, trials=np.int64(3), seed=np.uint8(7))
+        assert (type(report.trials), type(report.seed)) == (int, int)
         wide = MarkovBlockSpec(
             2,
             2,

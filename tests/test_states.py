@@ -25,8 +25,8 @@ from spinstar.model import BruteForceEvolver, branch_vectors, evolve_sector
 from spinstar.states import (
     ENTROPY_EIG_FLOOR,
     _spectrum_entropy,
-    conjugate_local,
     density_spectra,
+    local_pairs,
     mutual_information_stack,
 )
 
@@ -243,27 +243,33 @@ def test_partial_trace_rejects_unknown_label():
 
 @pytest.mark.parametrize("factors", [(("A", 2), ("B", 2), ("E", 3)), (("X", 2), ("Y", 2))])
 def test_conjugate_local_matches_kron_and_partial_trace(factors):
+    """`local_pairs` of one unitary is the traced np.kron conjugation, and each
+    row of a (K, h, h) stack has the bits of its own one-unitary call."""
     rng = np.random.default_rng(12)
     rho = random_density(rng, DimsSpec(*factors))
     u = haar_unitary(rho.dim // 2, rng)
     full = np.kron(identity(2), u)
     evolved = DensityMatrix(full @ rho.mat @ full.conj().T, rho.dims)
     reference = partial_trace(evolved, rho.dims.labels[:2])
-    pair = conjugate_local(rho, u)
+    pair = DensityMatrix(*local_pairs(rho, u))
     assert pair.dims == reference.dims
     assert np.max(np.abs(pair.mat - reference.mat)) <= 1e-15
+    stack = np.stack([u] + [haar_unitary(rho.dim // 2, rng) for _ in range(4)])
+    mats, dims = local_pairs(rho, stack)
+    assert mats.shape == (5, 4, 4) and dims == reference.dims
+    for row, one in zip(mats, stack):
+        assert row.tobytes() == local_pairs(rho, one)[0].tobytes()
 
 
 def test_conjugate_local_refuses_bad_inputs():
     rng = np.random.default_rng(14)
     rho = random_density(rng, DimsSpec(("A", 2), ("B", 2), ("E", 3)))
-    with pytest.raises(ValueError, match="unitary must be 6x6"):
-        conjugate_local(rho, identity(4))
-    with pytest.raises(ValueError, match="unitary must be 6x6"):
-        conjugate_local(rho, np.ones(6))
+    for bad in (identity(4), np.ones(6), np.ones((3, 4, 4)), np.ones((6, 6, 5))):
+        with pytest.raises(ValueError, match="unitary must be 6x6"):
+            local_pairs(rho, bad)
     for dims in ((("A", 3), ("B", 2)), (("A", 2), ("B", 3), ("E", 2)), (("A", 2),)):
         with pytest.raises(ValueError, match="qubit"):
-            conjugate_local(random_density(rng, DimsSpec(*dims)), identity(3))
+            local_pairs(random_density(rng, DimsSpec(*dims)), identity(3))
 
 
 def test_entropy_pure_state_is_zero():
