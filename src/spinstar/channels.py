@@ -229,12 +229,6 @@ def discord_zero_check(rho: DensityMatrix, flags: Sequence[np.ndarray]) -> float
     return max_abs(blocks - ordered_sum(pin @ blocks @ pin for pin in projectors(flag_vecs)))
 
 
-def _check_unitaries(unitaries: np.ndarray) -> None:
-    """Refuse a (..., 2, 2) stack holding a matrix that is not unitary within 1e-10."""
-    if not np.abs(dagger(unitaries) @ unitaries - identity(2)).max() <= 1e-10:
-        raise ValueError("branch matrix is not unitary within 1e-10")
-
-
 class RandomUnitaryChannel:
     """Probabilistic mixture of single-qubit unitaries on the coupled qubit."""
 
@@ -246,7 +240,7 @@ class RandomUnitaryChannel:
         for u in unitaries:
             if u.shape != (2, 2):
                 raise ValueError(f"branch unitaries must be 2x2, got {u.shape}")
-        _check_unitaries(np.stack(unitaries))
+        check_orthonormal(np.stack(unitaries), "rows of a branch unitary")
         for u in unitaries:
             u.setflags(write=False)
         self.probabilities = probs
@@ -296,7 +290,7 @@ def ruc_columns(rho0: DensityMatrix, t_grid: Sequence[float]) -> tuple[np.ndarra
     for start in range(0, len(times), PAIR_BATCH):
         t = times[start : start + PAIR_BATCH]
         unitaries = _phase_dial(t)
-        _check_unitaries(unitaries)
+        check_orthonormal(unitaries, "rows of a branch unitary")
         members = local_conjugates(rho0.mat, unitaries)
         c_ens, c_mix, hidden = hidden_entanglement_stack(PHASE_DIAL_WEIGHTS, members)
         convex_bad = ~(hidden >= -CONVEXITY_TOL)

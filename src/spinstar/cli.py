@@ -21,6 +21,7 @@ from .channels import COMPLETENESS_TOL, kraus_audit, ruc_columns
 from .entanglement import RANK_TOL, concurrence_2q, concurrence_2q_eig, inaccessible_concurrence
 from .markov import (
     CMI_TOL,
+    EXCESS_TOL,
     MarkovBlock,
     MarkovBlockSpec,
     is_markov,
@@ -505,7 +506,7 @@ def _cmd_hidden(args: argparse.Namespace) -> int:
     except ArithmeticError as exc:
         return _fail(EXIT_CHECK, f"consistency failure: {exc}")
     c0, worst = columns[0][0], columns[0].max()
-    if worst > c0 + 1e-9:
+    if worst > c0 + EXCESS_TOL:
         message = f"mixture concurrence {worst:.12g} exceeds initial {c0:.12g}"
         return _fail(EXIT_CHECK, f"consistency failure: {message}")
     # for the Bell input the mixture keeps |cos omega t|, each branch keeps 1,

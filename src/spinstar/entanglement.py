@@ -21,6 +21,7 @@ from .states import (
     PAIR_DIMS,
     DensityMatrix,
     PureState,
+    _bound_text,
     check_probabilities,
     check_two_qubit,
     density_eig,
@@ -42,6 +43,9 @@ RANK_TOL = 1e-12
 
 #: hidden entanglement below -CONVEXITY_TOL violates convexity of the concurrence
 CONVEXITY_TOL = 1e-9
+
+#: a whole-cut concurrence more than DOMINANCE_TOL below the system's one is an upstream bug
+DOMINANCE_TOL = 1e-9
 
 #: the two-qubit spin flip Y x Y, which is real
 SPIN_FLIP = np.kron(SIGMA_Y, SIGMA_Y).real
@@ -164,12 +168,12 @@ def inaccessible_concurrence(
     """Entanglement bound in the environment cut: max(0, c_whole - c_sys).
 
     Either argument may be an array, and the bound is taken elementwise; two
-    scalars give a float.  c_whole must dominate c_sys up to 1e-9; a larger
+    scalars give a float.  c_whole must dominate c_sys up to DOMINANCE_TOL; a larger
     deficit, or a NaN, signals an upstream computation bug and is rejected
     for the first offending pair in row-major order.
     """
     c_whole, c_sys = np.broadcast_arrays(np.asarray(c_whole, float), np.asarray(c_sys, float))
-    bad = ~(c_whole >= c_sys - 1e-9)
+    bad = ~(c_whole >= c_sys - DOMINANCE_TOL)
     if bad.any():
         first = np.argmax(bad)
         raise ValueError(
@@ -184,7 +188,9 @@ def inaccessible_concurrence(
 
 def convexity_failure(hidden: float) -> ArithmeticError:
     """The error for a hidden entanglement below -CONVEXITY_TOL."""
-    return ArithmeticError(f"hidden entanglement {hidden:.3e} below -1e-9; convexity violated")
+    return ArithmeticError(
+        f"hidden entanglement {hidden:.3e} below {_bound_text(-CONVEXITY_TOL)}; convexity violated"
+    )
 
 
 def hidden_entanglement_stack(

@@ -68,11 +68,14 @@ def projectors(vectors: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
     return v[:, :, None] * v.conj()[:, None, :]
 
 
-def check_orthonormal(vectors: Sequence[np.ndarray], what: str) -> None:
-    """Reject a family of vectors whose Gram matrix is not the identity."""
-    stack = np.array(vectors)
+def check_orthonormal(vectors: Sequence[np.ndarray] | np.ndarray, what: str) -> None:
+    """Reject a family of vectors whose Gram matrix is not the identity.
+
+    The vectors are the rows of an (n, d) array, or of each matrix in a (..., n, d) stack.
+    """
+    stack = np.asarray(vectors)
     gram = stack @ dagger(stack)
-    if not max_abs(gram - identity(len(vectors))) <= ORTHONORMALITY_TOL:
+    if not max_abs(gram - identity(stack.shape[-2])) <= ORTHONORMALITY_TOL:
         raise ValueError(f"{what} are not orthonormal within {ORTHONORMALITY_TOL:.1e}")
 
 

@@ -186,30 +186,33 @@ class ReductionReport:
 
 
 def verify_localized_reduction(
-    spec: MarkovBlockSpec, trials: int = 100, seed: int = 0
+    state: DensityMatrix, trials: int = 100, seed: int = 0
 ) -> ReductionReport:
-    """Stress the reduced-pair entanglement bound on a block-structured state.
+    """Stress the reduced-pair entanglement bound on a state with qubits A and B first.
 
-    Builds the state from the spec, applies Haar-random unitaries on (B, E)
-    in stacks of PAIR_BATCH trials, each drawn from a counter-based generator
-    split per trial, and counts how often the reduced pair concurrence exceeds
-    its initial value.  On a true Markov state the count must stay at zero.
+    Applies Haar-random unitaries on B and every later factor, in stacks of
+    PAIR_BATCH trials, each drawn from a counter-based generator split per
+    trial from SeedSequence(seed), and counts how often the (A, B) pair's
+    concurrence exceeds its initial value by more than EXCESS_TOL.  On a
+    Markov state, such as `make_markov_state` builds, the count stays at
+    zero even when the pair starts entangled.  The flagged mixture of
+    `model.build_initial_state` is not Markov, and at p = 1/2 some trials
+    raise its concurrence from zero.
     """
     if not all(hasattr(v, "__index__") and type(v) is not bool for v in (trials, seed)):
         raise TypeError(f"trials and seed must be integers, got {trials!r} and {seed!r}")
     trials, seed = operator.index(trials), operator.index(seed)
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    if spec.dim_a != 2 or spec.dim_b != 2:
-        raise ValueError("the concurrence bound needs qubit A and qubit B")
-    state = make_markov_state(spec)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     c0 = concurrence_2q(partial_trace(state, state.dims.labels[:2]))
     root = np.random.SeedSequence(seed)
     batches = []
     for start in range(0, trials, PAIR_BATCH):
         children = root.spawn(min(PAIR_BATCH, trials - start))
         rngs = [np.random.Generator(np.random.Philox(child)) for child in children]
-        unitaries = np.stack([haar_unitary(2 * spec.dim_e, rng) for rng in rngs])
+        unitaries = np.stack([haar_unitary(state.dim // 2, rng) for rng in rngs])
         batches.append(concurrence_2q_eig(*density_eig(*local_pairs(state, unitaries))))
     c = np.concatenate(batches)
     excess = c - c0

@@ -267,13 +267,10 @@ def build_w_state(x: float, y: float, z: float) -> PureState:
 
     The excitation is shared coherently between qubit A, qubit B, and the
     bath, so no flag basis can decohere it without disturbing the system.
+    Every amplitude must be non-zero, and `PureState` checks the norm.
     """
-    amps = (x, y, z)
-    if any(a == 0.0 for a in amps):
+    if any(a == 0.0 for a in (x, y, z)):
         raise ValueError("all three amplitudes must be non-zero")
-    norm_sq = math.fsum(a * a for a in amps)
-    if abs(norm_sq - 1.0) > 1e-12:
-        raise ValueError(f"amplitudes have squared norm {norm_sq:.12g}, not 1")
     vec = np.zeros(2 * 2 * ENV_LEVELS, dtype=complex)
     vec[0 * 2 * ENV_LEVELS + 0 * ENV_LEVELS + 1] = x  # |0_A 0_B, 1>
     vec[0 * 2 * ENV_LEVELS + 1 * ENV_LEVELS + 0] = y  # |0_A 1_B, 0>

@@ -31,6 +31,18 @@ __all__ = [
 #: eigenvalues of a state in [ENTROPY_EIG_FLOOR, 0) are treated as exact zeros
 ENTROPY_EIG_FLOOR = -1e-9
 
+#: density matrices must have unit trace within this tolerance
+DENSITY_TRACE_TOL = 1e-10
+
+#: a density matrix with an eigenvalue below -DENSITY_EIG_FLOOR is not positive semidefinite
+DENSITY_EIG_FLOOR = 1e-9
+
+#: a mutual information below -MI_SIGN_TOL is numerical corruption
+MI_SIGN_TOL = 1e-9
+
+#: a conditional mutual information below -SSA_TOL violates strong subadditivity
+SSA_TOL = 1e-8
+
 #: probability vectors must sum to one within this tolerance
 PROB_TOL = 1e-12
 
@@ -139,7 +151,11 @@ def _check_positive(vals: np.ndarray, eig_floor: float) -> None:
 
 
 def density_spectra(
-    mats: np.ndarray, dims: DimsSpec, *, trace_tol: float = 1e-10, eig_floor: float = 1e-9
+    mats: np.ndarray,
+    dims: DimsSpec,
+    *,
+    trace_tol: float = DENSITY_TRACE_TOL,
+    eig_floor: float = DENSITY_EIG_FLOOR,
 ) -> np.ndarray:
     """Ascending spectra of a density matrix over `dims`, or of each in a (..., d, d) stack.
 
@@ -162,8 +178,8 @@ def density_eig(mats: np.ndarray, dims: DimsSpec) -> tuple[np.ndarray, np.ndarra
     for the same matrices.  Its eigenvalues can differ from eigvalsh's in the
     last bit.
     """
-    vals, vecs = np.linalg.eigh(_density_hermitian_part(mats, dims, 1e-10))
-    _check_positive(vals, 1e-9)
+    vals, vecs = np.linalg.eigh(_density_hermitian_part(mats, dims, DENSITY_TRACE_TOL))
+    _check_positive(vals, DENSITY_EIG_FLOOR)
     return vals, vecs
 
 
@@ -183,8 +199,8 @@ class DensityMatrix:
         mat: np.ndarray,
         dims: DimsSpec,
         *,
-        trace_tol: float = 1e-10,
-        eig_floor: float = 1e-9,
+        trace_tol: float = DENSITY_TRACE_TOL,
+        eig_floor: float = DENSITY_EIG_FLOOR,
     ):
         arr = np.array(mat, dtype=complex)
         if arr.ndim != 2:
@@ -342,12 +358,20 @@ def _check_base(base: float) -> float:
     return float(base)
 
 
+def _bound_text(bound: float) -> str:
+    """A one-digit bound as its constant is written, such as 1e-9 or -1e-9."""
+    mantissa, exponent = f"{bound:.0e}".split("e")
+    return f"{mantissa}e{int(exponent)}"
+
+
 def _floor_failure(low: float) -> ValueError:
     return ValueError(f"state eigenvalue {low:.3e} below floor {ENTROPY_EIG_FLOOR:.1e}")
 
 
 def _negative_mi_failure(value: float) -> ArithmeticError:
-    return ArithmeticError(f"mutual information {value:.3e} below -1e-9; numeric corruption")
+    return ArithmeticError(
+        f"mutual information {value:.3e} below {_bound_text(-MI_SIGN_TOL)}; numeric corruption"
+    )
 
 
 def _spectrum_entropy(vals: np.ndarray, base: float) -> float | np.ndarray:
@@ -384,7 +408,7 @@ def mutual_information(rho: DensityMatrix, cut: Cut, base: float = 2) -> float:
         + von_neumann_entropy(partial_trace(rho, y_group), base)
         - von_neumann_entropy(rho, base)
     )
-    if value < -1e-9:
+    if value < -MI_SIGN_TOL:
         raise _negative_mi_failure(value)
     return value
 
@@ -408,7 +432,7 @@ def mutual_information_stack(mats: np.ndarray, spectra: np.ndarray, base: float 
     marginal_entropies = _spectrum_entropy(marginal_spectra, base)
     values = marginal_entropies[:, 0] + marginal_entropies[:, 1] - _spectrum_entropy(spectra, base)
     lows = np.concatenate([marginal_spectra[:, :, 0], spectra[:, :1]], axis=1)
-    bad = np.concatenate([lows < ENTROPY_EIG_FLOOR, (values < -1e-9)[:, None]], axis=1)
+    bad = np.concatenate([lows < ENTROPY_EIG_FLOOR, (values < -MI_SIGN_TOL)[:, None]], axis=1)
     if bad.any():
         row, check = divmod(int(np.argmax(bad)), bad.shape[1])
         if check < 3:
@@ -432,7 +456,7 @@ def conditional_mutual_information(rho: DensityMatrix) -> float:
         - von_neumann_entropy(partial_trace(rho, (mid,)))
         - von_neumann_entropy(rho)
     )
-    if value < -1e-8:
+    if value < -SSA_TOL:
         raise ArithmeticError(
             f"conditional mutual information {value:.3e} violates strong subadditivity"
         )

@@ -14,6 +14,8 @@ from spinstar import (
     DensityMatrix,
     DimsSpec,
     EnsembleMember,
+    MarkovBlock,
+    MarkovBlockSpec,
     PureState,
     RandomUnitaryChannel,
     SpinStarParams,
@@ -32,6 +34,7 @@ from spinstar import (
     extract_kraus,
     inaccessible_concurrence,
     is_markov,
+    make_markov_state,
     markov_necessary_witnesses,
     mutual_information,
     partial_trace,
@@ -380,10 +383,39 @@ def test_property_suites(capfd):
         worst = max(worst, mutual_information(dilated, PAIR_CUT) - mi_before)
     checks.append(("mutual information data processing", worst, 1e-9))
 
-    report = verify_localized_reduction(two_flag_spec(rng), trials=100, seed=11)
+    two_flag = make_markov_state(two_flag_spec(rng))
+    report = verify_localized_reduction(two_flag, trials=100, seed=11)
     checks.append(("localized reduction excess", report.max_excess, report.tol))
 
-    ok = report.violations == 0 and all(value <= tol for _, value, tol in checks)
+    # the contrast: a Markov state whose pair starts entangled never gains,
+    # while (B, E) unitaries entangle the flagged mixture's separable pair
+    entangled = []
+    for rank in (1, 2):
+        left = random_density(rng, DimsSpec(("A", 2), ("L", 2)), rank=rank).mat
+        right = random_density(rng, DimsSpec(("R", 1), ("E", 2))).mat
+        state = make_markov_state(MarkovBlockSpec(2, 2, (MarkovBlock(1.0, left, right),)))
+        entangled.append(verify_localized_reduction(state, trials=100, seed=11))
+    flagged = verify_localized_reduction(
+        build_initial_state(SpinStarParams()), trials=1000, seed=11
+    )
+
+    ok = (
+        report.violations == 0
+        and all(value <= tol for _, value, tol in checks)
+        and all(r.initial_concurrence > 0.0 and r.violations == 0 for r in entangled)
+        and flagged.violations > 0
+    )
     summary = ", ".join(f"{name} {value:.1e}" for name, value, _ in checks)
-    _report(capfd, 9, ok, f"{summary}, {report.violations} reduction violations")
+    markov_side = ", ".join(
+        f"c0 {r.initial_concurrence:.2f} with {r.violations}" for r in entangled
+    )
+    _report(
+        capfd,
+        9,
+        ok,
+        f"{summary}, {report.violations} reduction violations;"
+        f" entangled Markov states {markov_side} violations;"
+        f" flagged state c0 {flagged.initial_concurrence:.2f} max {flagged.max_concurrence:.3f}"
+        f" with {flagged.violations} violations of {flagged.trials}",
+    )
     assert ok

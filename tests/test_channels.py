@@ -32,7 +32,7 @@ from spinstar import (
     ruc_trajectory,
     zero_discord_family,
 )
-from spinstar import cli, model
+from spinstar import channels, cli, model
 from spinstar.channels import (
     COMPLETENESS_TOL,
     PHASE_DIAL_WEIGHTS,
@@ -42,9 +42,19 @@ from spinstar.channels import (
     kraus_operators,
     ruc_columns,
 )
-from spinstar.linalg import dagger, haar_unitary, identity, max_abs, ordered_sum
+from spinstar.linalg import (
+    ORTHONORMALITY_TOL,
+    dagger,
+    haar_unitary,
+    identity,
+    max_abs,
+    ordered_sum,
+)
 from spinstar.model import ENV_LEVELS, LARGE_N, sector_unitaries, sector_unitary
 from spinstar.states import PAIR_BATCH, local_pairs
+
+#: `check_orthonormal`'s message for a branch unitary of a random-unitary map
+NOT_UNITARY = f"^rows of a branch unitary are not orthonormal within {ORTHONORMALITY_TOL:.1e}$"
 
 #: special values of each branch angle in the random draws
 SPECIAL_ANGLES = (0.0, math.pi / 4, math.pi / 2, math.pi)
@@ -498,8 +508,9 @@ class TestRandomUnitaryChannel:
             RandomUnitaryChannel([(0.6, identity(2))])
         with pytest.raises(ValueError, match="2x2"):
             RandomUnitaryChannel([(1.0, identity(4))])
-        with pytest.raises(ValueError, match="not unitary"):
-            RandomUnitaryChannel([(1.0, np.array([[1.0, 0.0], [0.0, 2.0]]))])
+        for scale in (2.0, 1.0 + 10.0 * ORTHONORMALITY_TOL):
+            with pytest.raises(ValueError, match=NOT_UNITARY):
+                RandomUnitaryChannel([(0.5, identity(2)), (0.5, np.diag([1.0, scale]))])
 
     def test_full_dephasing_kills_bell_concurrence(self):
         channel = RandomUnitaryChannel([(0.5, identity(2)), (0.5, np.diag([1.0, -1.0]))])
@@ -601,6 +612,19 @@ class TestRucTrajectory:
         rho = build_initial_state(SpinStarParams())
         with pytest.raises(ValueError, match="two-qubit initial state"):
             ruc_trajectory(rho, [0.0])
+
+    def test_refuses_a_non_unitary_dial_branch(self, monkeypatch):
+        """Each batch's dial stack passes `check_orthonormal`, whose message it gives."""
+        rho = density_from_vec(bell_pair(), TWO_QUBITS)
+
+        def leaky(angles):
+            unitaries = _phase_dial(angles)
+            unitaries[-1, 1] *= 1.0 + 10.0 * ORTHONORMALITY_TOL
+            return unitaries
+
+        monkeypatch.setattr(channels, "_phase_dial", leaky)
+        with pytest.raises(ValueError, match=NOT_UNITARY):
+            ruc_columns(rho, np.linspace(0.0, 1.0, PAIR_BATCH + 1))
 
 
 def test_random_phase_channel_branches():

@@ -5,7 +5,9 @@ import pytest
 
 from spinstar.entanglement import SPIN_FLIP
 from spinstar.linalg import (
+    ORTHONORMALITY_TOL,
     SIGMA_Y,
+    check_orthonormal,
     dagger,
     haar_unitary,
     herm_eig,
@@ -157,6 +159,23 @@ def test_haar_unitary_is_unitary():
     for dim in (2, 5, 8):
         u = haar_unitary(dim, rng)
         assert max_abs(dagger(u) @ u - identity(dim)) <= 1e-12
+        check_orthonormal(u, "rows")
+
+
+def test_check_orthonormal_takes_a_family_or_a_stack():
+    """Rows of one (n, d) array, or of each matrix in a stack, at ORTHONORMALITY_TOL."""
+    check_orthonormal(identity(4)[:2], "vectors")
+    rng = np.random.default_rng(9)
+    stack = np.stack([[haar_unitary(3, rng) for _ in range(4)] for _ in range(2)])
+    check_orthonormal(stack, "rows")
+    message = f"^rows are not orthonormal within {ORTHONORMALITY_TOL:.1e}$"
+    for scale in (1.0 + 10.0 * ORTHONORMALITY_TOL, np.nan):
+        bad = stack.copy()
+        bad[1, 2, 0] *= scale
+        with pytest.raises(ValueError, match=message):
+            check_orthonormal(bad, "rows")
+    with pytest.raises(ValueError, match="^vectors are not orthonormal"):
+        check_orthonormal(identity(4)[[0, 1, 1]], "vectors")
 
 
 def test_haar_unitary_deterministic_per_seed():

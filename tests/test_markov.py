@@ -312,18 +312,29 @@ class TestEnvUnitaryConcurrence:
 class TestLocalizedReduction:
     def test_markov_state_never_violates(self):
         rng = np.random.default_rng(40)
-        report = verify_localized_reduction(two_flag_spec(rng), trials=100, seed=42)
+        report = verify_localized_reduction(
+            make_markov_state(two_flag_spec(rng)), trials=100, seed=42
+        )
         assert report.violations == 0
         assert report.trials == 100
         assert report.seed == 42
         assert report.max_excess <= report.tol
         assert report.max_concurrence >= report.initial_concurrence
 
+    def test_flagged_mixture_gains_pair_concurrence(self):
+        """The paper's flagged state is not Markov: (B, E) unitaries entangle its pair."""
+        report = verify_localized_reduction(
+            build_initial_state(SpinStarParams()), trials=200, seed=11
+        )
+        assert report.initial_concurrence == 0.0
+        assert report.violations > 0
+        assert report.max_excess == report.max_concurrence > 0.1
+
     def test_deterministic_in_the_seed(self):
         rng = np.random.default_rng(41)
-        spec = two_flag_spec(rng)
-        first = verify_localized_reduction(spec, trials=20, seed=7)
-        second = verify_localized_reduction(spec, trials=20, seed=7)
+        state = make_markov_state(two_flag_spec(rng))
+        first = verify_localized_reduction(state, trials=20, seed=7)
+        second = verify_localized_reduction(state, trials=20, seed=7)
         assert first == second
 
     @settings(deadline=None, max_examples=60)
@@ -333,20 +344,23 @@ class TestLocalizedReduction:
         st.integers(0, 2**64 - 1),
     )
     def test_stacks_report_what_the_trial_loop_reports(self, spec, trials, seed):
-        """The stacked check equals the per-trial loop, across batch seams."""
-        assert verify_localized_reduction(spec, trials, seed) == loop_localized_reduction(
-            spec, trials, seed
-        )
+        """The stacked check on the spec's state equals the per-trial loop on the
+        spec, across batch seams, and no trial raises the pair's concurrence."""
+        report = verify_localized_reduction(make_markov_state(spec), trials, seed)
+        assert report == loop_localized_reduction(spec, trials, seed)
+        assert report.violations == 0
 
     def test_validation(self):
         rng = np.random.default_rng(42)
-        spec = two_flag_spec(rng)
+        state = make_markov_state(two_flag_spec(rng))
         with pytest.raises(ValueError, match="at least one trial"):
-            verify_localized_reduction(spec, trials=0)
+            verify_localized_reduction(state, trials=0)
         for bad in ({"trials": 2.5}, {"trials": True}, {"seed": 2.5}, {"seed": None}):
             with pytest.raises(TypeError, match="^trials and seed must be integers, got "):
-                verify_localized_reduction(spec, **bad)
-        report = verify_localized_reduction(spec, trials=np.int64(3), seed=np.uint8(7))
+                verify_localized_reduction(state, **bad)
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+            verify_localized_reduction(state, seed=-1)
+        report = verify_localized_reduction(state, trials=np.int64(3), seed=np.uint8(7))
         assert (type(report.trials), type(report.seed)) == (int, int)
         wide = MarkovBlockSpec(
             2,
@@ -360,4 +374,4 @@ class TestLocalizedReduction:
             ),
         )
         with pytest.raises(ValueError, match="qubit"):
-            verify_localized_reduction(wide)
+            verify_localized_reduction(make_markov_state(wide))

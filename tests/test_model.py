@@ -434,6 +434,10 @@ class TestWState:
     def test_rejects_bad_norm(self):
         with pytest.raises(ValueError, match="norm"):
             build_w_state(0.5, 0.5, 0.5)
+        # a squared norm 1e-9 off is refused by PureState's one norm check
+        x = math.sqrt((1.0 + 1e-9) / 3.0)
+        with pytest.raises(ValueError, match=r"^state vector norm .* is not 1 within 1\.0e-12$"):
+            build_w_state(x, x, x)
 
     def test_isolated_qubit_decouples_as_its_amplitude_vanishes(self):
         eps = 1e-3
