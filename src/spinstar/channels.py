@@ -29,6 +29,7 @@ from .entanglement import (
 from .linalg import check_orthonormal, dagger, identity, max_abs, ordered_sum, projectors
 from .model import SpinStarParams, ZeroDiscordFamily, evolve_sector_stack, sector_unitaries
 from .states import (
+    DENSITY_TRACE_TOL,
     PAIR_BATCH,
     DensityMatrix,
     check_probabilities,
@@ -53,10 +54,6 @@ __all__ = [
 
 #: Kraus completeness must hold within this tolerance
 COMPLETENESS_TOL = 1e-9
-
-#: trace tolerance and eigenvalue floor of a channel's output state
-CHANNEL_TRACE_TOL = 1e-9
-CHANNEL_EIG_FLOOR = 1e-8
 
 #: ensemble concurrence of a random-unitary trajectory may drift this far from its start
 DRIFT_TOL = 1e-9
@@ -147,6 +144,15 @@ def extract_kraus(family: ZeroDiscordFamily, params: SpinStarParams, t: float) -
     return KrausChannel(kraus_operators(family, unitaries)[0][0])
 
 
+def _output_trace_tol(dim: int, residual: float) -> float:
+    """Trace tolerance of a channel output on dim levels, given its completeness residual.
+
+    With S = sum_k K^dagger K, an output's trace is off by Tr((S - I) rho),
+    at most residual * dim on top of the input's own trace error.
+    """
+    return DENSITY_TRACE_TOL + dim * residual
+
+
 def _kraus_outputs(ops: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """sum_k K mat K^dagger for each (..., K, d, d) operator stack, summed in operator order.
 
@@ -160,7 +166,7 @@ def apply_channel(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     if rho.dim != channel.dim:
         raise ValueError(f"state dimension {rho.dim} does not match channel {channel.dim}")
     out = _kraus_outputs(channel.operators, rho.mat)
-    return DensityMatrix(out, rho.dims, trace_tol=CHANNEL_TRACE_TOL, eig_floor=CHANNEL_EIG_FLOOR)
+    return DensityMatrix(out, rho.dims, trace_tol=_output_trace_tol(rho.dim, channel.residual))
 
 
 def _choi_matrices(ops: np.ndarray) -> np.ndarray:
@@ -201,9 +207,7 @@ def kraus_audit(
     operators, residuals = kraus_operators(family, unitaries)
     choi_min = np.linalg.eigvalsh(_choi_matrices(operators))[:, 0]
     via_channel = _kraus_outputs(operators, rho0.mat)
-    density_spectra(
-        via_channel, rho0.dims, trace_tol=CHANNEL_TRACE_TOL, eig_floor=CHANNEL_EIG_FLOOR
-    )
+    density_spectra(via_channel, rho0.dims, trace_tol=_output_trace_tol(rho0.dim, residuals.max()))
     via_evolution = evolve_sector_stack(mixture, unitaries)
     density_spectra(via_evolution, rho0.dims)
     return residuals, choi_min, np.abs(via_channel - via_evolution).max(axis=(-2, -1))

@@ -138,8 +138,8 @@ def concurrence_2q(rho: DensityMatrix) -> float:
 def ppt_min_eigenvalue(rho: DensityMatrix, cut: Cut) -> float:
     """Smallest eigenvalue after partially transposing the second cut group.
 
-    A value below -1e-9 witnesses entanglement across the cut; separable
-    states stay positive semidefinite up to rounding.
+    A value below -`markov.NPT_TOL` witnesses entanglement across the cut;
+    separable states stay positive semidefinite up to rounding.
     """
     _, y_group = split_cut(rho.dims, cut)
     n = len(rho.dims)

@@ -28,13 +28,11 @@ __all__ = [
     "conditional_mutual_information",
 ]
 
-#: eigenvalues of a state in [ENTROPY_EIG_FLOOR, 0) are treated as exact zeros
-ENTROPY_EIG_FLOOR = -1e-9
-
 #: density matrices must have unit trace within this tolerance
 DENSITY_TRACE_TOL = 1e-10
 
-#: a density matrix with an eigenvalue below -DENSITY_EIG_FLOOR is not positive semidefinite
+#: a density matrix with an eigenvalue below -DENSITY_EIG_FLOOR is not positive
+#: semidefinite; the entropies treat eigenvalues in [-DENSITY_EIG_FLOOR, 0] as zeros
 DENSITY_EIG_FLOOR = 1e-9
 
 #: a mutual information below -MI_SIGN_TOL is numerical corruption
@@ -141,10 +139,10 @@ def _density_hermitian_part(mats: np.ndarray, dims: DimsSpec, trace_tol: float) 
     return sym
 
 
-def _check_positive(vals: np.ndarray, eig_floor: float) -> None:
-    """Refuse ascending spectra where one has an eigenvalue below -eig_floor."""
+def _check_positive(vals: np.ndarray) -> None:
+    """Refuse ascending spectra where one has an eigenvalue below -DENSITY_EIG_FLOOR."""
     for low in vals[..., :1].ravel().tolist():
-        if low < -eig_floor:
+        if low < -DENSITY_EIG_FLOOR:
             raise ValueError(
                 f"density matrix is not positive semidefinite: min eigenvalue {low:.3e}"
             )
@@ -155,17 +153,16 @@ def density_spectra(
     dims: DimsSpec,
     *,
     trace_tol: float = DENSITY_TRACE_TOL,
-    eig_floor: float = DENSITY_EIG_FLOOR,
 ) -> np.ndarray:
     """Ascending spectra of a density matrix over `dims`, or of each in a (..., d, d) stack.
 
     Every matrix must be Hermitian, of unit trace within trace_tol and have
-    no eigenvalue below -eig_floor; a failure reports the first offending
-    matrix in row-major order.  The spectra are those of the symmetrized
-    matrices.
+    no eigenvalue below -DENSITY_EIG_FLOOR; a failure reports the first
+    offending matrix in row-major order.  The spectra are those of the
+    symmetrized matrices.
     """
     vals = np.linalg.eigvalsh(_density_hermitian_part(mats, dims, trace_tol))
-    _check_positive(vals, eig_floor)
+    _check_positive(vals)
     return vals
 
 
@@ -179,7 +176,7 @@ def density_eig(mats: np.ndarray, dims: DimsSpec) -> tuple[np.ndarray, np.ndarra
     last bit.
     """
     vals, vecs = np.linalg.eigh(_density_hermitian_part(mats, dims, DENSITY_TRACE_TOL))
-    _check_positive(vals, DENSITY_EIG_FLOOR)
+    _check_positive(vals)
     return vals, vecs
 
 
@@ -187,9 +184,11 @@ class DensityMatrix:
     """Validated density operator over a labeled factorization.
 
     Construction rejects matrices that `density_spectra` rejects: not
-    Hermitian, not unit trace, or not positive semidefinite within the given
-    tolerances.  `eigenvalues` is the read-only ascending spectrum of the
-    symmetrized matrix that the positivity check solved for.
+    Hermitian, not of unit trace within trace_tol, or with an eigenvalue
+    below -DENSITY_EIG_FLOOR.  Only a channel output widens trace_tol, by its
+    completeness residual; every state meets the one floor.  `eigenvalues`
+    is the read-only ascending spectrum of the symmetrized matrix that the
+    positivity check solved for.
     """
 
     __slots__ = ("mat", "dims", "eigenvalues")
@@ -200,12 +199,11 @@ class DensityMatrix:
         dims: DimsSpec,
         *,
         trace_tol: float = DENSITY_TRACE_TOL,
-        eig_floor: float = DENSITY_EIG_FLOOR,
     ):
         arr = np.array(mat, dtype=complex)
         if arr.ndim != 2:
             raise ValueError(f"density matrix must be a square matrix, got shape {arr.shape}")
-        vals = density_spectra(arr, dims, trace_tol=trace_tol, eig_floor=eig_floor)
+        vals = density_spectra(arr, dims, trace_tol=trace_tol)
         arr.setflags(write=False)
         vals.setflags(write=False)
         self.mat = arr
@@ -359,13 +357,9 @@ def _check_base(base: float) -> float:
 
 
 def _bound_text(bound: float) -> str:
-    """A one-digit bound as its constant is written, such as 1e-9 or -1e-9."""
+    """A one-digit bound as its constant is written, without `:.0e`'s two-digit exponent."""
     mantissa, exponent = f"{bound:.0e}".split("e")
     return f"{mantissa}e{int(exponent)}"
-
-
-def _floor_failure(low: float) -> ValueError:
-    return ValueError(f"state eigenvalue {low:.3e} below floor {ENTROPY_EIG_FLOOR:.1e}")
 
 
 def _negative_mi_failure(value: float) -> ArithmeticError:
@@ -378,19 +372,16 @@ def _spectrum_entropy(vals: np.ndarray, base: float) -> float | np.ndarray:
     """-sum(p log p) of an ascending spectrum, or of each in a (..., n) stack, 0 log 0 = 0.
 
     The one entropy kernel, in a checked base.  Entries at or below zero drop
-    out.  A stack sums each spectrum with one stacked product: that keeps the
-    bits of the 1-D dot product, where a .sum() or einsum rounds differently.
-    One spectrum whose lowest entry is below ENTROPY_EIG_FLOOR is refused; a
-    stack leaves that check to its caller.
+    out, and no floor is checked here: `density_spectra` has already refused
+    a state's spectrum with an entry below -DENSITY_EIG_FLOOR.  A stack sums
+    each spectrum with one stacked product: that keeps the bits of the 1-D
+    dot product, where a .sum() or einsum rounds differently.
     """
     if vals.ndim > 1:
         kept = np.where(vals > 0.0, vals, 1.0)  # log 1 = 0
         return -(kept[..., None, :] @ np.log(kept)[..., :, None])[..., 0, 0] / math.log(base)
-    low = vals.item(0)
-    if low < ENTROPY_EIG_FLOOR:
-        raise _floor_failure(low)
     # a spectrum with no zero needs no mask: the same values give the same sum
-    probs = vals if low > 0.0 else vals[vals > 0.0]
+    probs = vals if vals.item(0) > 0.0 else vals[vals > 0.0]
     return -float(probs @ np.log(probs)) / math.log(base)
 
 
@@ -421,9 +412,8 @@ def mutual_information_stack(mats: np.ndarray, spectra: np.ndarray, base: float 
     `density_eig` that validated them, so S(AB) costs no second solve.  The
     marginals' spectra are solved here.  Given `density_spectra`'s spectra,
     each value has the bits `mutual_information` gives for the A|B cut of
-    that matrix, and a failure gives its message for the first offending
-    matrix: at one matrix the S(A), S(B) and S(AB) floors are checked before
-    the sign.
+    that matrix, and a value below -MI_SIGN_TOL raises its message for the
+    first such matrix.
     """
     base = _check_base(base)
     keep_a, qubit = partial_trace_stack(mats, PAIR_DIMS, ("A",))
@@ -431,13 +421,9 @@ def mutual_information_stack(mats: np.ndarray, spectra: np.ndarray, base: float 
     marginal_spectra = density_spectra(np.stack([keep_a, keep_b], axis=1), qubit)
     marginal_entropies = _spectrum_entropy(marginal_spectra, base)
     values = marginal_entropies[:, 0] + marginal_entropies[:, 1] - _spectrum_entropy(spectra, base)
-    lows = np.concatenate([marginal_spectra[:, :, 0], spectra[:, :1]], axis=1)
-    bad = np.concatenate([lows < ENTROPY_EIG_FLOOR, (values < -MI_SIGN_TOL)[:, None]], axis=1)
+    bad = values < -MI_SIGN_TOL
     if bad.any():
-        row, check = divmod(int(np.argmax(bad)), bad.shape[1])
-        if check < 3:
-            raise _floor_failure(float(lows[row, check]))
-        raise _negative_mi_failure(float(values[row]))
+        raise _negative_mi_failure(float(values[np.argmax(bad)]))
     return values
 
 

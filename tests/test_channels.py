@@ -407,6 +407,18 @@ class TestKrausChannel:
         out = apply_channel(channel, pair0)
         assert np.trace(out.mat).real == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("r", [5e-10, 9e-10])
+    def test_apply_accepts_the_trace_its_residual_allows(self, r):
+        # K = sqrt(I + r J) with J all ones: sum K^dagger K = I + r J, a
+        # residual of r, and the uniform pure state's trace grows to 1 + 4 r,
+        # the most a residual of r allows on 4 levels
+        ones = np.ones((4, 4))
+        kraus = identity(4) + (math.sqrt(1.0 + 4.0 * r) - 1.0) / 4.0 * ones
+        channel = KrausChannel([kraus])
+        assert channel.residual == pytest.approx(r, rel=1e-6)
+        out = apply_channel(channel, DensityMatrix(ones / 4.0, TWO_QUBITS))
+        assert np.trace(out.mat).real == pytest.approx(1.0 + 4.0 * r, abs=1e-15)
+
     def test_apply_rejects_dimension_mismatch(self):
         channel = KrausChannel([identity(4)])
         rho = DensityMatrix(np.eye(2) / 2.0, DimsSpec(("B", 2)))

@@ -23,7 +23,7 @@ from spinstar import (
 )
 from spinstar.model import BruteForceEvolver, branch_vectors, evolve_sector
 from spinstar.states import (
-    ENTROPY_EIG_FLOOR,
+    DENSITY_EIG_FLOOR,
     _spectrum_entropy,
     density_spectra,
     local_pairs,
@@ -99,12 +99,12 @@ def test_density_matrix_keeps_its_spectrum():
         rho.eigenvalues[0] = 1.0
 
 
-def test_entropy_rejects_eigenvalues_below_floor():
-    # a looser construction floor admits a state that entropies still refuse
+def test_density_matrix_rejects_eigenvalues_below_floor():
+    # every state meets the one floor at construction, so no entropy sees a spectrum below it
     mat = np.diag([0.5 + 5e-9, 0.5, 0.0, -5e-9]).astype(complex)
-    rho = DensityMatrix(mat, TWO_QUBITS, eig_floor=1e-8)
-    with pytest.raises(ValueError, match="below floor"):
-        von_neumann_entropy(rho)
+    message = "^density matrix is not positive semidefinite: min eigenvalue -5.000e-09$"
+    with pytest.raises(ValueError, match=message):
+        DensityMatrix(mat, TWO_QUBITS)
 
 
 def test_density_matrix_rejects_bad_inputs():
@@ -354,65 +354,31 @@ def test_stacked_mutual_information_matches_each_state_bit_for_bit(base):
         assert value == single
 
 
-def _stacked_and_single_failures(bad: list[DensityMatrix]) -> tuple[str, str]:
-    """Messages of the stacked and scalar mutual information on corrupted states.
-
-    The stack is one good state followed by `bad`; the scalar message is that
-    of the first bad state.
-    """
-    good = random_density(np.random.default_rng(3), TWO_QUBITS)
-    states = [good, *bad]
-    with pytest.raises((ValueError, ArithmeticError)) as single:
-        mutual_information(bad[0], (("A",), ("B",)))
-    with pytest.raises(type(single.value)) as stacked:
-        mutual_information_stack(
-            np.array([rho.mat for rho in states]), np.array([rho.eigenvalues for rho in states])
-        )
-    return str(stacked.value), str(single.value)
-
-
-def test_stacked_mutual_information_reports_the_first_state_below_the_entropy_floor():
-    # a looser construction floor admits joint states that entropies refuse,
-    # while both marginals stay positive
-    mats = [np.diag([0.5, 0.25, 0.25 + x, -x]).astype(complex) for x in (1e-8, 1e-7)]
-    bad = [DensityMatrix(mat, TWO_QUBITS, eig_floor=1e-6) for mat in mats]
-    stacked, single = _stacked_and_single_failures(bad)
-    assert single == "state eigenvalue -1.000e-08 below floor -1.0e-09"
-    assert stacked == single
-
-
 def test_stacked_mutual_information_reports_the_first_negative_value():
-    # a product state given the spectrum of a mixed one: S(AB) exceeds S(A) + S(B)
+    # a product state given the spectrum of a mixed one: S(AB) exceeds S(A) + S(B);
+    # the stack puts a good state first, and reports the first of two bad ones
     bad = [DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex), TWO_QUBITS) for _ in "ab"]
     bad[0].eigenvalues = np.full(4, 0.25)
     bad[1].eigenvalues = np.array([0.0, 0.0, 0.5, 0.5])
-    stacked, single = _stacked_and_single_failures(bad)
-    assert single == "mutual information -2.000e+00 below -1e-9; numeric corruption"
-    assert stacked == single
-
-
-def test_stacked_mutual_information_reports_a_negative_value_before_a_later_floor():
-    # the scalar loop meets the first point's negative value before it reaches
-    # the second point, whose joint spectrum is below the entropy floor
-    negative = DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex), TWO_QUBITS)
-    negative.eigenvalues = np.full(4, 0.25)
-    below = DensityMatrix(
-        np.diag([0.5, 0.25, 0.25 + 1e-8, -1e-8]).astype(complex), TWO_QUBITS, eig_floor=1e-6
-    )
-    stacked, single = _stacked_and_single_failures([negative, below])
-    assert single == "mutual information -2.000e+00 below -1e-9; numeric corruption"
-    assert stacked == single
+    states = [random_density(np.random.default_rng(3), TWO_QUBITS), *bad]
+    message = "^mutual information -2.000e\\+00 below -1e-9; numeric corruption$"
+    with pytest.raises(ArithmeticError, match=message):
+        mutual_information(bad[0], (("A",), ("B",)))
+    with pytest.raises(ArithmeticError, match=message):
+        mutual_information_stack(
+            np.array([rho.mat for rho in states]), np.array([rho.eigenvalues for rho in states])
+        )
 
 
 @st.composite
 def spectrum_stacks(draw):
     """1 to 6 states of one dimension, 2 or 4, each diagonal with a pure, a
     maximally mixed or a drawn spectrum; drawn spectra mix exact zeros,
-    eigenvalues in [ENTROPY_EIG_FLOOR, 0) and positive ones scaled to unit trace."""
+    eigenvalues in [-DENSITY_EIG_FLOOR, 0) and positive ones scaled to unit trace."""
     n = draw(st.sampled_from((2, 4)))
     entry = st.one_of(
         st.just(0.0),
-        st.floats(ENTROPY_EIG_FLOOR, 0.0, exclude_max=True),
+        st.floats(-DENSITY_EIG_FLOOR, 0.0, exclude_max=True),
         st.floats(1e-300, 1.0),
     )
     dims = DimsSpec(("X", n))
